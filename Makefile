@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race bench bench-smoke bench-diff alloc-smoke obs-smoke sample-smoke sample-par-smoke superblock-smoke detail-smoke serve-smoke load-smoke check fuzz-smoke fmt vet scratch-guard ci
+.PHONY: all build test race bench bench-smoke bench-diff alloc-smoke obs-smoke sample-smoke sample-par-smoke superblock-smoke detail-smoke serve-smoke load-smoke perfbench-test check fuzz-smoke fmt vet scratch-guard ci
 
 all: build
 
@@ -95,6 +95,12 @@ load-smoke:
 	$(GO) test -race -run=LoadSmoke -count=1 .
 	$(GO) test -race ./internal/load/ -count=1
 
+# The benchmark harness's own checks (tail rule, lateness, layer-sum
+# arithmetic, digest stability). perfbench is a separate module, so the
+# root vet and test runs do not reach it.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Differential oracle + metamorphic invariants + corpus replay
 # (internal/check; see DESIGN.md "Verification").
 check:
@@ -125,5 +131,5 @@ scratch-guard:
 		echo "scratch files tracked in git:"; echo "$$out"; exit 1; \
 	fi
 
-ci: fmt vet scratch-guard build race bench-smoke alloc-smoke obs-smoke sample-smoke sample-par-smoke superblock-smoke detail-smoke serve-smoke load-smoke check fuzz-smoke
+ci: fmt vet scratch-guard build race bench-smoke alloc-smoke obs-smoke sample-smoke sample-par-smoke superblock-smoke detail-smoke serve-smoke load-smoke perfbench-test check fuzz-smoke
 	-$(MAKE) bench-diff

@@ -59,7 +59,7 @@ func run() (err error) {
 	maxInFlight := flag.Int("max-inflight", 256, "open loop: max concurrent dispatches (queued arrivals beyond this still charge latency from their intended time)")
 	seed := flag.Int64("seed", 1, "pacing/schedule RNG seed")
 	slices := flag.Int("slices", 10, "time slices per step for steady-state (warm-up) detection")
-	jobsFlag := flag.Int("j", 0, "sim target: runner worker goroutines (0 = GOMAXPROCS)")
+	jobsFlag := flag.Int("j", 0, "sim target: runner slots, i.e. jobs simulating at once (0 = GOMAXPROCS)")
 	var o obs.CLI
 	o.AddFlags(flag.CommandLine)
 	flag.Parse()

@@ -40,7 +40,7 @@ func run() (err error) {
 	storeDir := flag.String("store", "", "persistent result store directory (empty = in-memory only)")
 	storeMax := flag.Int64("store-max-bytes", 0, "store size cap in bytes (0 = unbounded); least-recently-used blobs are evicted")
 	workers := flag.Int("workers", 0, "concurrent job executors (0 = GOMAXPROCS)")
-	jobs := flag.Int("j", 0, "simulation worker goroutines inside the runner (0 = GOMAXPROCS)")
+	jobs := flag.Int("j", 0, "simulation slots: jobs simulating at once, plus the cores a sampled job's windows may borrow while free; sample_par sizes nothing (0 = GOMAXPROCS)")
 	self := flag.String("self", "", "this server's advertised base URL on the shard ring, e.g. http://host-a:8080")
 	peers := flag.String("peers", "", "comma-separated shard peer base URLs, this node's -self included (config sweeps hash across them)")
 	var o obs.CLI

@@ -7,6 +7,7 @@ import (
 	"icicle/internal/asm"
 	"icicle/internal/boom"
 	"icicle/internal/kernel"
+	"icicle/internal/mem"
 	"icicle/internal/perf"
 	"icicle/internal/pmu"
 	"icicle/internal/trace"
@@ -40,6 +41,14 @@ func TestConfigsValidate(t *testing.T) {
 	bad.IntPorts = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("inconsistent ports validated")
+	}
+	noCache := large()
+	noCache.Hierarchy.L1D = mem.CacheConfig{}
+	if err := noCache.Validate(); err == nil {
+		t.Error("config without an L1D validated")
+	}
+	if _, err := boom.New(noCache, asm.MustAssemble("ecall")); err == nil {
+		t.Error("boom.New accepted a config without an L1D")
 	}
 }
 

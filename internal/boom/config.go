@@ -179,5 +179,5 @@ func (c Config) Validate() error {
 	if c.ROBEntries < 2*c.DecodeWidth {
 		return fmt.Errorf("boom: ROB too small (%d)", c.ROBEntries)
 	}
-	return nil
+	return c.Hierarchy.Validate()
 }

@@ -1,5 +1,7 @@
 package mem
 
+import "fmt"
+
 // HierarchyConfig describes the full memory system shared by Rocket and
 // BOOM in the paper (Table IV "Common"): 32 KiB 8-way 64 B-block L1I/L1D,
 // 512 KiB 8-way 64 B-block L2, no LLC, FASED-like fixed DRAM latency.
@@ -41,6 +43,24 @@ func DefaultHierarchyConfig(nMSHRs int) HierarchyConfig {
 
 		NextLinePrefetch: true,
 	}
+}
+
+// Validate checks every cache level's geometry and that no latency is
+// negative. A core built over an invalid hierarchy would panic in
+// NewCache, so configs from outside the program are checked with this
+// first (rocket.Config.Validate and boom.Config.Validate call it).
+func (c HierarchyConfig) Validate() error {
+	levels := [...]CacheConfig{c.L1I, c.L1D, c.L2}
+	for i, name := range [...]string{"L1I", "L1D", "L2"} {
+		levels[i].Name = name
+		if err := levels[i].Validate(); err != nil {
+			return err
+		}
+	}
+	if min(c.L2HitLatency, c.MemLatency, c.TLBHitL2, c.PTWLatency) < 0 {
+		return fmt.Errorf("mem: negative hierarchy latency")
+	}
+	return nil
 }
 
 // Hierarchy is the instantiated memory system.

@@ -73,6 +73,25 @@ func TestCacheConfigValidation(t *testing.T) {
 	}
 }
 
+func TestHierarchyConfigValidation(t *testing.T) {
+	if err := DefaultHierarchyConfig(2).Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := (HierarchyConfig{}).Validate(); err == nil {
+		t.Error("zero hierarchy validated")
+	}
+	badL2 := DefaultHierarchyConfig(2)
+	badL2.L2.Ways = 3
+	if err := badL2.Validate(); err == nil {
+		t.Error("non-power-of-two L2 set count validated")
+	}
+	neg := DefaultHierarchyConfig(2)
+	neg.MemLatency = -1
+	if err := neg.Validate(); err == nil {
+		t.Error("negative memory latency validated")
+	}
+}
+
 func TestCacheHitMiss(t *testing.T) {
 	c := NewCache(CacheConfig{Name: "t", SizeBytes: 1024, Ways: 2, BlockBytes: 64})
 	if r := c.Access(0, false); r.Hit {

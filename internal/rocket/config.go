@@ -1,6 +1,8 @@
 package rocket
 
 import (
+	"fmt"
+
 	"icicle/internal/mem"
 	"icicle/internal/pmu"
 )
@@ -57,3 +59,22 @@ func (Config) CommitWidth() int { return 1 }
 
 // IssueWidth returns Rocket's issue width (always 1).
 func (Config) IssueWidth() int { return 1 }
+
+// Validate checks the configuration: a power-of-two fetch width, a
+// non-empty instruction buffer, no negative latency or penalty, and a
+// valid memory hierarchy. New does not call it (the paper's configs are
+// valid by construction); configs from outside the program should be
+// checked first.
+func (c Config) Validate() error {
+	if c.FetchWidth < 1 || c.FetchWidth&(c.FetchWidth-1) != 0 {
+		return fmt.Errorf("rocket: fetch width %d is not a positive power of two", c.FetchWidth)
+	}
+	if c.IBufEntries < 1 {
+		return fmt.Errorf("rocket: instruction buffer needs at least one entry (have %d)", c.IBufEntries)
+	}
+	if min(c.BrMispredictPenalty, c.TakenBubble, c.BTBMissPenalty, c.JALRPenalty, c.LoadUseDelay,
+		c.MulLatency, c.DivLatency, c.CSRLatency, c.FencePenalty, c.FenceIPenalty) < 0 {
+		return fmt.Errorf("rocket: negative latency or penalty")
+	}
+	return c.Hierarchy.Validate()
+}

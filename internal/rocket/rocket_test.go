@@ -274,6 +274,28 @@ func TestSmallerL1DRaisesBackendBound(t *testing.T) {
 	}
 }
 
+func TestConfigValidate(t *testing.T) {
+	if err := rocket.DefaultConfig().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := (rocket.Config{}).Validate(); err == nil {
+		t.Error("zero config validated")
+	}
+	for name, mutate := range map[string]func(*rocket.Config){
+		"fetch width 3":       func(c *rocket.Config) { c.FetchWidth = 3 },
+		"empty ibuf":          func(c *rocket.Config) { c.IBufEntries = 0 },
+		"negative div":        func(c *rocket.Config) { c.DivLatency = -1 },
+		"zero-sized L1I":      func(c *rocket.Config) { c.Hierarchy.L1I.SizeBytes = 0 },
+		"negative PTW refill": func(c *rocket.Config) { c.Hierarchy.PTWLatency = -5 },
+	} {
+		cfg := rocket.DefaultConfig()
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: validated", name)
+		}
+	}
+}
+
 func TestMaxCyclesGuard(t *testing.T) {
 	cfg := rocket.DefaultConfig()
 	cfg.MaxCycles = 100

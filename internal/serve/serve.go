@@ -50,8 +50,10 @@ type Config struct {
 	// Tracer records serve-job spans (nil = no tracing).
 	Tracer *obs.Tracer
 	// QueueWorkers is the number of concurrent job executors (default
-	// GOMAXPROCS). This is the service's parallelism; sampled jobs may
-	// additionally fan out windows per their SamplePar.
+	// GOMAXPROCS). The runner's worker count (sim.WithWorkers in
+	// RunnerOpts, default GOMAXPROCS) bounds how many of them simulate
+	// at once; a sampled plan-engine job also runs its windows on that
+	// budget's free slots, whatever its SamplePar says.
 	QueueWorkers int
 	// Self is this server's advertised base URL ("http://host:port") on
 	// the shard ring; Peers lists every shard, Self included, spelled

@@ -221,6 +221,10 @@ func TestServeValidation(t *testing.T) {
 		{"unknown core", `{"jobs":[{"core":"cray","kernel":"vvadd"}]}`, http.StatusBadRequest},
 		{"bad boom size", `{"jobs":[{"core":"boom","kernel":"vvadd","size":"colossal"}]}`, http.StatusBadRequest},
 		{"sample_par without sample", `{"jobs":[{"core":"rocket","kernel":"vvadd","sample_par":4}]}`, http.StatusBadRequest},
+		// Used to pass JobSpec.Job and then panic the worker in
+		// mem.NewCache, killing the server.
+		{"empty rocket_config", `{"jobs":[{"core":"rocket","kernel":"towers","rocket_config":{}}]}`, http.StatusBadRequest},
+		{"boom_config without caches", `{"jobs":[{"core":"boom","kernel":"vvadd","boom_config":{"Name":"x","FetchWidth":1,"DecodeWidth":1,"IssueWidth":1,"IntPorts":1,"ROBEntries":2}}]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
@@ -250,6 +254,35 @@ func TestServeValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s = %d, want 404", path, resp.StatusCode)
 		}
+	}
+}
+
+// sample_par only selects the plan engine: a huge value must not size
+// anything. On a 2-slot runner the job gets at most 2 window workers, so
+// at most 2 cores are ever built for it.
+func TestServeHugeSampleParIsCapped(t *testing.T) {
+	const slots = 2
+	srv := mustNew(t, Config{QueueWorkers: 1, RunnerOpts: []sim.Option{sim.WithWorkers(slots)}})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var st StatusResponse
+	code := postJSON(t, ts.URL+"/jobs", SubmitRequest{Wait: true, Jobs: []JobSpec{
+		{Core: "rocket", Kernel: "towers", Sample: ptr(testPolicy()), SamplePar: 1_000_000},
+	}}, &st)
+	if code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	if r := st.Results[0]; r.Error != "" || r.Sampled == nil || r.Sampled.Windows < 2 {
+		t.Fatalf("job result %+v", r)
+	}
+	stats := srv.Runner().Stats()
+	if stats.CoreBuilds > slots {
+		t.Fatalf("built %d cores on a %d-slot runner", stats.CoreBuilds, slots)
+	}
+	if stats.WindowWorkers < 1 || stats.WindowWorkers > slots {
+		t.Fatalf("granted %d window workers on a %d-slot runner", stats.WindowWorkers, slots)
 	}
 }
 

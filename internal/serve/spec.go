@@ -23,9 +23,10 @@ type JobSpec struct {
 	Rocket *rocket.Config `json:"rocket_config,omitempty"` // full config override
 	Boom   *boom.Config   `json:"boom_config,omitempty"`   // full config override
 	Sample *sample.Policy `json:"sample,omitempty"`        // enable sampled simulation
-	// SamplePar > 0 selects the two-phase parallel sampled engine with
-	// that many window workers (results are bit-identical for any
-	// count). Requires Sample.
+	// SamplePar > 0 selects the two-phase parallel sampled engine.
+	// Requires Sample. The value is still accepted but sizes nothing:
+	// the runner's free slots set the window workers (results are
+	// bit-identical for any count).
 	SamplePar int `json:"sample_par,omitempty"`
 }
 
@@ -45,6 +46,9 @@ func (s JobSpec) Job() (sim.Job, error) {
 		cfg := rocket.DefaultConfig()
 		if s.Rocket != nil {
 			cfg = *s.Rocket
+		}
+		if err := cfg.Validate(); err != nil {
+			return sim.Job{}, err
 		}
 		j = sim.RocketJob(cfg, k)
 	case "boom":

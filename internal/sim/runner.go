@@ -18,8 +18,14 @@ import (
 // A Runner is safe for concurrent use. The cache has no eviction: the
 // evaluation suite's working set is a few hundred (config, kernel) pairs,
 // each a few maps of counters, which is negligible next to one simulation.
+//
+// The worker count is also the runner's core budget (see slotBudget): at
+// most that many jobs simulate at once, across Run batches and RunOne
+// callers alike, and a plan-engine job runs its windows on the slots the
+// other jobs leave free.
 type Runner struct {
 	workers  int
+	slots    *slotBudget
 	memoize  bool
 	corePool bool
 	store    ResultStore // optional persistent L2 (nil = memory only)
@@ -63,8 +69,9 @@ type runnerMetrics struct {
 	coreBuilds *obs.Counter   // cores constructed (pool misses)
 	coreReuses *obs.Counter   // jobs served by a recycled core
 
-	windowHits   *obs.Counter // sampled windows served from the window memo
-	windowMisses *obs.Counter // sampled windows actually executed
+	windowHits    *obs.Counter // sampled windows served from the window memo
+	windowMisses  *obs.Counter // sampled windows actually executed
+	windowWorkers *obs.Counter // window workers granted to plan-engine jobs
 
 	storeHits   *obs.Counter // jobs served from the persistent result store
 	storeMisses *obs.Counter // memo misses the store couldn't serve either
@@ -79,19 +86,20 @@ type runnerMetrics struct {
 
 func standaloneMetrics() *runnerMetrics {
 	return &runnerMetrics{
-		jobs:         obs.NewCounter(),
-		hits:         obs.NewCounter(),
-		misses:       obs.NewCounter(),
-		latency:      obs.NewHistogram(1e-9),
-		coreBuilds:   obs.NewCounter(),
-		coreReuses:   obs.NewCounter(),
-		windowHits:   obs.NewCounter(),
-		windowMisses: obs.NewCounter(),
-		storeHits:    obs.NewCounter(),
-		storeMisses:  obs.NewCounter(),
-		rocket:       obs.NewCoreTelemetry(),
-		boom:         obs.NewCoreTelemetry(),
-		sample:       sample.NewTelemetry(),
+		jobs:          obs.NewCounter(),
+		hits:          obs.NewCounter(),
+		misses:        obs.NewCounter(),
+		latency:       obs.NewHistogram(1e-9),
+		coreBuilds:    obs.NewCounter(),
+		coreReuses:    obs.NewCounter(),
+		windowHits:    obs.NewCounter(),
+		windowMisses:  obs.NewCounter(),
+		windowWorkers: obs.NewCounter(),
+		storeHits:     obs.NewCounter(),
+		storeMisses:   obs.NewCounter(),
+		rocket:        obs.NewCoreTelemetry(),
+		boom:          obs.NewCoreTelemetry(),
+		sample:        sample.NewTelemetry(),
 	}
 }
 
@@ -113,6 +121,8 @@ func registryMetrics(reg *obs.Registry) *runnerMetrics {
 			"sampled windows served from the window memo"),
 		windowMisses: reg.Counter("icicle_sim_window_misses_total",
 			"sampled windows actually executed"),
+		windowWorkers: reg.Counter("icicle_sim_window_workers_granted_total",
+			"window workers granted to plan-engine jobs (own worker plus borrowed free slots)"),
 		storeHits: reg.Counter("icicle_sim_store_hits_total",
 			"jobs served from the persistent result store"),
 		storeMisses: reg.Counter("icicle_sim_store_misses_total",
@@ -133,7 +143,9 @@ type cacheEntry struct {
 // Option configures a Runner.
 type Option func(*Runner)
 
-// WithWorkers sets the worker-pool size (default GOMAXPROCS).
+// WithWorkers sets the worker-pool size, which is also the core budget
+// shared by concurrent jobs and plan-engine window workers (default
+// GOMAXPROCS).
 func WithWorkers(n int) Option {
 	return func(r *Runner) {
 		if n > 0 {
@@ -193,6 +205,7 @@ func New(opts ...Option) *Runner {
 	for _, o := range opts {
 		o(r)
 	}
+	r.slots = newSlotBudget(r.workers)
 	return r
 }
 
@@ -321,6 +334,8 @@ func (r *Runner) lookupOrSimulate(j Job, tid int) Result {
 }
 
 func (r *Runner) simulate(j Job, tid int) Result {
+	r.slots.take()
+	defer r.slots.give(1)
 	r.m.misses.Inc()
 	start := time.Now()
 	res := r.executeJob(j, tid)
@@ -433,8 +448,10 @@ type Stats struct {
 	CoreBuilds uint64 // cores constructed (pool misses)
 	CoreReuses uint64 // jobs served by a recycled core
 
-	WindowHits   uint64 // sampled windows served from the window memo
-	WindowMisses uint64 // sampled windows actually executed
+	WindowHits    uint64 // sampled windows served from the window memo
+	WindowMisses  uint64 // sampled windows actually executed
+	WindowWorkers uint64 // window workers granted to plan-engine jobs
+	PeakSlots     int    // most core-budget slots held at once (≤ Workers)
 
 	StoreHits   uint64 // jobs served from the persistent result store
 	StoreMisses uint64 // memo misses the store couldn't serve either
@@ -458,20 +475,22 @@ func (r *Runner) Stats() Stats { return r.Snapshot().Stats }
 func (r *Runner) Snapshot() Snapshot {
 	top := r.slow.top()
 	st := Stats{
-		Workers:      r.workers,
-		Jobs:         r.m.jobs.Value(),
-		Hits:         r.m.hits.Value(),
-		Misses:       r.m.misses.Value(),
-		SimWall:      time.Duration(r.m.latency.Sum()),
-		CoreBuilds:   r.m.coreBuilds.Value(),
-		CoreReuses:   r.m.coreReuses.Value(),
-		WindowHits:   r.m.windowHits.Value(),
-		WindowMisses: r.m.windowMisses.Value(),
-		StoreHits:    r.m.storeHits.Value(),
-		StoreMisses:  r.m.storeMisses.Value(),
-		AllocBytes:   r.allocBytes.Load(),
-		Mallocs:      r.mallocs.Load(),
-		NumGC:        r.numGC.Load(),
+		Workers:       r.workers,
+		Jobs:          r.m.jobs.Value(),
+		Hits:          r.m.hits.Value(),
+		Misses:        r.m.misses.Value(),
+		SimWall:       time.Duration(r.m.latency.Sum()),
+		CoreBuilds:    r.m.coreBuilds.Value(),
+		CoreReuses:    r.m.coreReuses.Value(),
+		WindowHits:    r.m.windowHits.Value(),
+		WindowMisses:  r.m.windowMisses.Value(),
+		WindowWorkers: r.m.windowWorkers.Value(),
+		PeakSlots:     r.slots.peakHeld(),
+		StoreHits:     r.m.storeHits.Value(),
+		StoreMisses:   r.m.storeMisses.Value(),
+		AllocBytes:    r.allocBytes.Load(),
+		Mallocs:       r.mallocs.Load(),
+		NumGC:         r.numGC.Load(),
 	}
 	if len(top) > 0 {
 		st.Slowest = top[0].Wall

@@ -49,12 +49,16 @@ type Job struct {
 	Sample sample.Policy
 
 	// SamplePar > 0 selects the two-phase plan engine for sampled jobs:
-	// one producer pass plus SamplePar window workers. The report is
-	// bit-identical for every worker count (SamplePar == 1 is the serial
-	// reference), so the worker count is deliberately NOT part of Key().
-	// Ignored when Sample is disabled.
+	// one producer pass plus parallel window workers. Its value sizes
+	// nothing: the runner sets the worker count from its own free slots
+	// (see Runner), and the report is bit-identical for every worker
+	// count, so SamplePar is deliberately NOT part of Key(). Ignored when
+	// Sample is disabled.
 	SamplePar int
 }
+
+// planEngine reports whether j runs on the two-phase plan engine.
+func (j Job) planEngine() bool { return j.Sample.Enabled() && j.SamplePar > 0 }
 
 // WithSampling returns a copy of the job running under the sampling
 // policy instead of full detail.
@@ -64,8 +68,9 @@ func (j Job) WithSampling(p sample.Policy) Job {
 }
 
 // WithParallelSampling returns a copy of the job running under the
-// two-phase sampled engine with the given window-worker count
-// (workers < 1 is treated as 1).
+// two-phase sampled engine. workers is recorded as SamplePar (values < 1
+// are treated as 1) but sizes nothing: the runner picks the window
+// workers.
 func (j Job) WithParallelSampling(p sample.Policy, workers int) Job {
 	if workers < 1 {
 		workers = 1
@@ -186,18 +191,19 @@ func (r Result) Tally(event string) uint64 {
 	return r.Rocket.Tally[event]
 }
 
-// execute runs the simulation described by j (no caching, no pooling).
-func execute(j Job) Result {
+// execute runs the simulation described by j (no caching, no pooling),
+// a plan-engine job on the given number of window workers.
+func execute(j Job, workers int) Result {
 	res := Result{Job: j}
 	switch {
-	case j.Core == Boom && j.Sample.Enabled() && j.SamplePar > 0:
-		res.Boom, res.Sampled, res.Breakdown, res.Err = perf.SampleBoomPar(j.Boom, j.Kernel, j.Sample, sample.Options{}, j.SamplePar)
+	case j.Core == Boom && j.planEngine():
+		res.Boom, res.Sampled, res.Breakdown, res.Err = perf.SampleBoomPar(j.Boom, j.Kernel, j.Sample, sample.Options{}, workers)
 	case j.Core == Boom && j.Sample.Enabled():
 		res.Boom, res.Sampled, res.Breakdown, res.Err = perf.SampleBoom(j.Boom, j.Kernel, j.Sample)
 	case j.Core == Boom:
 		res.Boom, res.Breakdown, res.Err = perf.RunBoom(j.Boom, j.Kernel)
-	case j.Sample.Enabled() && j.SamplePar > 0:
-		res.Rocket, res.Sampled, res.Breakdown, res.Err = perf.SampleRocketPar(j.Rocket, j.Kernel, j.Sample, sample.Options{}, j.SamplePar)
+	case j.planEngine():
+		res.Rocket, res.Sampled, res.Breakdown, res.Err = perf.SampleRocketPar(j.Rocket, j.Kernel, j.Sample, sample.Options{}, workers)
 	case j.Sample.Enabled():
 		res.Rocket, res.Sampled, res.Breakdown, res.Err = perf.SampleRocket(j.Rocket, j.Kernel, j.Sample)
 	default:

@@ -4,13 +4,16 @@
 // once with several; the two reports must be bit-identical — every
 // float, every window, every tally — because the engine's reduce is
 // schedule-ordered and each window result is a pure function of its
-// spec. `make sample-par-smoke` (part of `make ci`) runs this under the
-// race detector so the worker fan-out is exercised with checking on.
+// spec. The sim runner's own fan-out (window workers from its free core
+// budget, whatever the job's SamplePar says) is checked against the same
+// reference. `make sample-par-smoke` (part of `make ci`) runs this under
+// the race detector so the worker fan-out is exercised with checking on.
 package icicle_test
 
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"icicle/internal/asm"
@@ -19,6 +22,7 @@ import (
 	"icicle/internal/perf"
 	"icicle/internal/rocket"
 	"icicle/internal/sample"
+	"icicle/internal/sim"
 )
 
 // parGoldenRow is one golden-table entry: a core config, a program, and
@@ -177,4 +181,128 @@ func mustProgram(t *testing.T, k *kernel.Kernel) *asm.Program {
 		t.Fatal(err)
 	}
 	return prog
+}
+
+// TestSampleParRunnerFanOut: a SamplePar 1 job alone on a 4-worker
+// runner runs its windows on more than one core, and its result is still
+// the one-worker reference, down to the store blob.
+func TestSampleParRunnerFanOut(t *testing.T) {
+	for _, row := range []parGoldenRow{
+		{core: "rocket", kernel: "towers", policy: sample.Default()},
+		{core: "SmallBOOM", boom: boom.Small, kernel: "bfs", policy: sample.Default()},
+	} {
+		t.Run(row.core+"/"+row.kernel, func(t *testing.T) {
+			k, err := kernel.ByName(row.kernel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var j sim.Job
+			var want sim.Result
+			if row.core == "rocket" {
+				j = sim.RocketJob(rocket.DefaultConfig(), k)
+				want.Rocket, want.Sampled, want.Breakdown, err = perf.SampleRocketPar(rocket.DefaultConfig(), k, row.policy, sample.Options{}, 1)
+			} else {
+				j = sim.BoomJob(boom.NewConfig(row.boom), k)
+				want.Boom, want.Sampled, want.Breakdown, err = perf.SampleBoomPar(boom.NewConfig(row.boom), k, row.policy, sample.Options{}, 1)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			j = j.WithParallelSampling(row.policy, 1)
+			want.Job = j
+
+			r := sim.New(sim.WithWorkers(4), sim.WithoutCache())
+			got := r.RunOne(j)
+			if got.Err != nil {
+				t.Fatal(got.Err)
+			}
+			if w := r.Stats().WindowWorkers; w < 2 {
+				t.Fatalf("lone SamplePar 1 job on a 4-worker runner got %d window worker(s), want > 1", w)
+			}
+			if !reflect.DeepEqual(got.Sampled, want.Sampled) {
+				t.Fatalf("runner report differs from the one-worker reference:\ngot  est %d windows %d\nwant est %d windows %d",
+					got.Sampled.EstCycles, len(got.Sampled.Windows), want.Sampled.EstCycles, len(want.Sampled.Windows))
+			}
+			// gob writes maps in random order, so two encodings of one
+			// result differ byte for byte; compare the blobs by length
+			// and by what they decode to.
+			gotBlob, err := sim.EncodeResult(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBlob, err := sim.EncodeResult(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(gotBlob) != len(wantBlob) {
+				t.Fatalf("store blob is %d bytes, one-worker reference %d", len(gotBlob), len(wantBlob))
+			}
+			gotBack, err := sim.DecodeResult(gotBlob, j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBack, err := sim.DecodeResult(wantBlob, j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotBack, wantBack) {
+				t.Fatal("runner store blob decodes differently from the one-worker reference")
+			}
+		})
+	}
+}
+
+// TestSampleParRunnerSlotBudget: concurrent plan-engine jobs share the
+// runner's core budget. Together they never hold more slots than the
+// runner has workers, every job finishes, and every report matches the
+// same job run alone on a one-worker runner.
+func TestSampleParRunnerSlotBudget(t *testing.T) {
+	const workers = 3
+	dense := sample.Policy{Window: 1024, Period: 24576, Warmup: 8192}
+	var jobs []sim.Job
+	for _, name := range []string{"towers", "mm", "bfs"} {
+		k, err := kernel.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []sample.Policy{sample.Default(), dense} {
+			jobs = append(jobs, sim.RocketJob(rocket.DefaultConfig(), k).WithParallelSampling(p, 64))
+		}
+	}
+
+	r := sim.New(sim.WithWorkers(workers), sim.WithoutCache())
+	got := make([]sim.Result, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = r.RunOne(j)
+		}()
+	}
+	wg.Wait()
+
+	st := r.Stats()
+	if st.PeakSlots > workers {
+		t.Fatalf("concurrent jobs held %d slots on a %d-worker runner", st.PeakSlots, workers)
+	}
+	if st.PeakSlots < 2 {
+		t.Errorf("peak of %d slot(s) held: the jobs never ran side by side", st.PeakSlots)
+	}
+	serial := sim.New(sim.WithWorkers(1), sim.WithoutCache())
+	for i, j := range jobs {
+		if got[i].Err != nil {
+			t.Fatalf("%s: %v", j.Key(), got[i].Err)
+		}
+		want := serial.RunOne(j)
+		if want.Err != nil {
+			t.Fatal(want.Err)
+		}
+		if !reflect.DeepEqual(got[i].Sampled, want.Sampled) {
+			t.Errorf("%s: concurrent report differs from the one-worker run", j.Key())
+		}
+	}
+	if w := serial.Stats().WindowWorkers; w != uint64(len(jobs)) {
+		t.Errorf("one-worker runner granted %d window workers over %d jobs, want one each", w, len(jobs))
+	}
 }
