@@ -108,11 +108,14 @@ check:
 
 # Run every native fuzz target for $(FUZZTIME) each. Go allows one -fuzz
 # target per invocation, hence the loop. A crasher is written to
-# internal/check/testdata/fuzz/<Target>/ and replays in plain `go test`.
+# <package>/testdata/fuzz/<Target>/ and replays in plain `go test`.
+# FuzzDecodeWindow feeds the window-blob decoder (store payloads come
+# from disk).
 fuzz-smoke:
 	for target in FuzzAssemble FuzzDecodeEncodeRoundtrip FuzzDifferential FuzzSuperblockDifferential FuzzStallSkipDifferential; do \
 		$(GO) test ./internal/check/ -run='^$$' -fuzz=$$target -fuzztime=$(FUZZTIME) || exit 1; \
 	done
+	$(GO) test ./internal/sim/ -run='^$$' -fuzz=FuzzDecodeWindow -fuzztime=$(FUZZTIME)
 
 fmt:
 	@out=$$(gofmt -l .); \

@@ -2,6 +2,8 @@ package boom
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"icicle/internal/branch"
 	"icicle/internal/isa"
@@ -131,6 +133,29 @@ func (c *Core) RunWindowBounded(maxCycles, maxInsts uint64) error {
 	}
 	c.flushTelemetry()
 	return nil
+}
+
+// WindowInstBound returns an upper bound on the instructions the core's
+// CPU executes functionally in a detailed window of the given number of
+// cycles, saturating at MaxUint64. Two parts, both read off the cycle
+// loop:
+//   - retirement: commitStage retires at most DecodeWidth instructions
+//     per step, every step advances at least one cycle, and a
+//     bulk-skipped stretch retires nothing;
+//   - fetch-ahead: CPU.Step runs at fetch (next), and only when the
+//     putback list is empty and the fetch buffer has a free slot. An
+//     executed but unretired record lives in the ROB, the fetch buffer,
+//     or the putback list; flushes and refetches move records between
+//     them without executing anything, and wrong-path uops are decoded
+//     from memory, never executed. So those records never number more
+//     than ROBEntries + FBEntries.
+func (c *Core) WindowInstBound(cycles uint64) uint64 {
+	hi, n := bits.Mul64(cycles, uint64(c.Cfg.DecodeWidth))
+	n, carry := bits.Add64(n, uint64(c.Cfg.ROBEntries+c.Cfg.FBEntries), 0)
+	if hi != 0 || carry != 0 {
+		return math.MaxUint64
+	}
+	return n
 }
 
 // BeginWindow rebases the core for a schedule-independent detailed

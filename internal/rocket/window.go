@@ -2,6 +2,8 @@ package rocket
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"icicle/internal/branch"
 	"icicle/internal/isa"
@@ -121,6 +123,27 @@ func (c *Core) RunWindowBounded(maxCycles, maxInsts uint64) error {
 	}
 	c.flushTelemetry()
 	return nil
+}
+
+// WindowInstBound returns an upper bound on the instructions the core's
+// CPU executes functionally in a detailed window of the given number of
+// cycles, saturating at MaxUint64. Two parts, both read off the cycle
+// loop:
+//   - retirement: issueStage retires at most one instruction per step,
+//     every step advances at least one cycle, and a bulk-skipped stretch
+//     retires nothing, so a window retires at most cycles instructions;
+//   - fetch-ahead: CPU.Step runs at fetch (next), and only when the
+//     putback list is empty and the instruction buffer has a free slot.
+//     Issue and retire share a cycle, so an executed but unretired
+//     record lives only in the buffer or the putback list, and squashes
+//     and refetches move records between the two without executing
+//     anything: together they never hold more than IBufEntries.
+func (c *Core) WindowInstBound(cycles uint64) uint64 {
+	n, carry := bits.Add64(cycles, uint64(c.Cfg.IBufEntries), 0)
+	if carry != 0 {
+		return math.MaxUint64
+	}
+	return n
 }
 
 // BeginWindow rebases the core for a schedule-independent detailed

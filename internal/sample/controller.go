@@ -21,8 +21,14 @@ type Core interface {
 	RunWindow(maxCycles uint64) error
 	// RunWindowBounded additionally stops the window exactly at maxInsts
 	// retired instructions (0 = unbounded), so a plan-scheduled window
-	// never stores past its memory-delta boundary.
+	// never retires past its memory-delta boundary.
 	RunWindowBounded(maxCycles, maxInsts uint64) error
+	// WindowInstBound bounds the instructions the core's CPU executes
+	// in a window of the given cycles: at most its retire width per
+	// cycle, plus the records fetch can execute ahead of retirement. It
+	// saturates instead of overflowing. RunPlan leaves a window's
+	// instruction bound out of its memo key when the bound exceeds this.
+	WindowInstBound(cycles uint64) uint64
 	// BeginWindow rebases the core's timing state — cycle clock, PMU,
 	// caches, predictors — to power-on while leaving architectural state,
 	// memory, and cumulative tallies untouched. The plan engine calls it

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,11 +22,14 @@ type WindowResult struct {
 }
 
 // WindowMemo caches window results across runs. Keys fully identify the
-// window's inputs (config, program, start instruction, warm span, cycle
-// and instruction bounds), so overlapping policies — e.g. a re-run with
-// a different Period whose boundaries partially coincide — reuse
-// completed windows instead of recomputing them. Implementations must be
-// safe for concurrent use.
+// window's inputs: config, program, window cycles, start instruction,
+// warm span, and the instruction bound when the window can reach it (see
+// RunPlan). Policies that differ only in Period therefore share every
+// window whose start and warm span coincide — a sweep over 24576, 49152
+// and 98304 runs the longer periods' windows for free — unless the
+// bound binds, in which case the key keeps it and nothing is shared.
+// Get's result carries no meaningful Index; RunPlan sets it.
+// Implementations must be safe for concurrent use.
 type WindowMemo interface {
 	Get(key string) (WindowResult, bool)
 	Put(key string, wr WindowResult)
@@ -136,6 +140,12 @@ func (e *Exec) Window(i int, o *Options) (WindowResult, error) {
 	return WindowResult{Index: i, Cycles: wCycles, Insts: wInsts, Tally: tally}, nil
 }
 
+// windowKeyVersion leads every window memo key. It changes whenever the
+// key layout or the meaning of a stored result does, so results stored
+// under an older layout go unused instead of being misread. v2 leaves an
+// unreachable instruction bound out of the key.
+const windowKeyVersion = "v2"
+
 // asyncQueueID feeds the (cat, id) async-track keys for queue-wait
 // events; the category is private to this file, so a process-wide
 // counter cannot collide with other async emitters.
@@ -170,9 +180,21 @@ func RunPlan(plan *Plan, p Policy, o Options, par Par) (*Report, error) {
 	results := make([]WindowResult, n)
 	errs := make([]error, n)
 
+	// A window's result depends on its instruction bound only when the
+	// core can reach it: if MaxInsts exceeds everything the CPU can
+	// execute in Window cycles, fetch-ahead included, the bound neither
+	// stops the window nor lets it store past the next delta boundary,
+	// and any larger bound gives the same result. Such keys say "b-", so
+	// periods that share window starts and warm spans share windows.
+	// Every target runs the same config, so one bound serves them all.
+	reach := par.Targets[0].Core.WindowInstBound(p.Window)
 	windowKey := func(i int) string {
 		s := &plan.Specs[i]
-		return fmt.Sprintf("%s|w%d|s%d|k%d|b%d", par.MemoPrefix, p.Window, s.StartInst, s.WarmInsts, s.MaxInsts)
+		bound := "-"
+		if s.MaxInsts <= reach {
+			bound = strconv.FormatUint(s.MaxInsts, 10)
+		}
+		return fmt.Sprintf("%s|%s|w%d|s%d|k%d|b%s", windowKeyVersion, par.MemoPrefix, p.Window, s.StartInst, s.WarmInsts, bound)
 	}
 
 	if o.Telemetry != nil {
@@ -194,6 +216,7 @@ func RunPlan(plan *Plan, p Policy, o Options, par Par) (*Report, error) {
 				enqueued, time.Now(), obs.Arg{Key: "window", Val: i})
 			if par.Memo != nil {
 				if wr, ok := par.Memo.Get(windowKey(i)); ok {
+					wr.Index = i // the donor may be another plan's window
 					results[i] = wr
 					continue
 				}

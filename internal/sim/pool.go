@@ -146,13 +146,16 @@ func runPooled[C pooledCore, R any](r *Runner, j Job, tid int, pool *sync.Pool, 
 	case j.planEngine():
 		sp := tr.Begin("simulate-sampled-par", "sim", tid)
 		var n int
+		memo := r.windowMemo()
 		if n, err = r.windowWorkers(j, o); err == nil {
 			if cs, _, err = takeCores(r, pool, cs, n, ops); err == nil {
-				res, rep, bd, err = ops.sampledPar(cs, j.Kernel, j.Sample, o, r.windowMemo())
+				res, rep, bd, err = ops.sampledPar(cs, j.Kernel, j.Sample, o, memo.memo())
 			}
 			r.slots.give(n - 1)
 		}
-		sp.End(obs.Arg{Key: "workers", Val: n})
+		hits, ran := memo.counts(rep)
+		sp.End(obs.Arg{Key: "workers", Val: n},
+			obs.Arg{Key: "windows_memo", Val: hits}, obs.Arg{Key: "windows_run", Val: ran})
 	case j.Sample.Enabled():
 		sp := tr.Begin("simulate-sampled", "sim", tid)
 		res, rep, bd, err = ops.sampled(cs[0], j.Kernel, j.Sample, o)

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 
 	"icicle/internal/boom"
 	"icicle/internal/core"
@@ -119,19 +121,36 @@ func (r *Runner) storeResult(j Job, res Result) {
 	r.store.Put(StoreKey(j), payload)
 }
 
-// encodeWindow / decodeWindow are the window-memo blob codec. The window
-// key already carries the config, program, and bounds; the payload is
-// just the result triple plus the dense tally.
-func encodeWindow(wr sample.WindowResult) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wr); err != nil {
-		return nil, err
+// encodeWindow / decodeWindow are the window-memo blob codec: a fixed
+// little-endian layout of Cycles, Insts, the tally length n, then the n
+// tally words, 8·(3+n) bytes in all. The key names the window, so Index
+// is not stored; RunPlan sets it on a hit.
+func encodeWindow(wr sample.WindowResult) []byte {
+	b := make([]byte, 0, 8*(3+len(wr.Tally)))
+	b = binary.LittleEndian.AppendUint64(b, wr.Cycles)
+	b = binary.LittleEndian.AppendUint64(b, wr.Insts)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(wr.Tally)))
+	for _, v := range wr.Tally {
+		b = binary.LittleEndian.AppendUint64(b, v)
 	}
-	return buf.Bytes(), nil
+	return b
 }
 
+// decodeWindow rejects any payload whose length is not exactly 8·(3+n)
+// for the n it declares: a truncated or padded blob is a miss, never a
+// misread window.
 func decodeWindow(payload []byte) (sample.WindowResult, error) {
-	var wr sample.WindowResult
-	err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wr)
-	return wr, err
+	if len(payload) < 24 || len(payload)%8 != 0 ||
+		binary.LittleEndian.Uint64(payload[16:]) != uint64(len(payload)/8-3) {
+		return sample.WindowResult{}, fmt.Errorf("sim: malformed window blob (%d bytes)", len(payload))
+	}
+	wr := sample.WindowResult{
+		Cycles: binary.LittleEndian.Uint64(payload),
+		Insts:  binary.LittleEndian.Uint64(payload[8:]),
+		Tally:  make([]uint64, len(payload)/8-3),
+	}
+	for i := range wr.Tally {
+		wr.Tally[i] = binary.LittleEndian.Uint64(payload[24+8*i:])
+	}
+	return wr, nil
 }
