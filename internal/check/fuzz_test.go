@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -208,5 +209,76 @@ func FuzzSuperblockDifferential(f *testing.F) {
 		if sbMem.Checksum() != refMem.Checksum() {
 			t.Fatalf("memory image divergence\nprogram:\n%s", src)
 		}
+
+		// Warm leg: the event executor behind functional warming must
+		// report the same events on both engines. Alternating short
+		// RunFor and RunWarm calls enters blocks mid-way, as the sampled
+		// engines do at every warm-span boundary.
+		warmRef, refWarmMem, refWarmErr := runWarmLeg(prog, false, budget)
+		warmSB, sbWarmMem, sbWarmErr := runWarmLeg(prog, true, budget)
+		if fmt.Sprint(refWarmErr) != fmt.Sprint(sbWarmErr) {
+			t.Fatalf("warm leg error divergence: step=%v superblock=%v\nprogram:\n%s", refWarmErr, sbWarmErr, src)
+		}
+		if len(warmSB.events) != len(warmRef.events) {
+			t.Fatalf("warm leg: %d events on superblock engine, %d on step\nprogram:\n%s",
+				len(warmSB.events), len(warmRef.events), src)
+		}
+		for i := range warmRef.events {
+			if warmSB.events[i] != warmRef.events[i] {
+				t.Fatalf("warm event %d diverges:\n superblock %+v\n step       %+v\nprogram:\n%s",
+					i, warmSB.events[i], warmRef.events[i], src)
+			}
+		}
+		a, b := warmSB.cpu, warmRef.cpu
+		if a.X != b.X || a.PC != b.PC || a.InstRet != b.InstRet || a.Halted != b.Halted || a.ExitCode != b.ExitCode {
+			t.Fatalf("warm leg: architectural state divergence\nprogram:\n%s", src)
+		}
+		if sbWarmMem.Checksum() != refWarmMem.Checksum() {
+			t.Fatalf("warm leg: memory image divergence\nprogram:\n%s", src)
+		}
 	})
+}
+
+// warmEvent is one isa.WarmSink call, recorded.
+type warmEvent struct {
+	kind  byte // 'f'etch, 'b'ranch, 'j'ump, 'm'em
+	a, b  uint64
+	taken bool
+}
+
+// warmRecorder is an isa.WarmSink that records its events.
+type warmRecorder struct {
+	cpu    *isa.CPU
+	events []warmEvent
+}
+
+func (r *warmRecorder) Fetch(pc uint64) { r.events = append(r.events, warmEvent{kind: 'f', a: pc}) }
+func (r *warmRecorder) Branch(pc uint64, taken bool, next uint64) {
+	r.events = append(r.events, warmEvent{kind: 'b', a: pc, b: next, taken: taken})
+}
+func (r *warmRecorder) Jump(pc, next uint64) {
+	r.events = append(r.events, warmEvent{kind: 'j', a: pc, b: next})
+}
+func (r *warmRecorder) Mem(addr uint64, write bool) {
+	r.events = append(r.events, warmEvent{kind: 'm', a: addr, taken: write})
+}
+
+// runWarmLeg runs prog for up to budget instructions in alternating
+// RunFor(3) and RunWarm(13) calls with 16-byte fetch blocks, recording
+// the warm events.
+func runWarmLeg(prog *asm.Program, superblocks bool, budget uint64) (*warmRecorder, *mem.Sparse, error) {
+	m := mem.NewSparse()
+	prog.LoadInto(m)
+	cpu := isa.NewCPU(m, prog.Entry)
+	cpu.SetSuperblocks(superblocks)
+	rec := &warmRecorder{cpu: cpu}
+	for cpu.InstRet < budget && !cpu.Halted {
+		if _, err := cpu.RunFor(3); err != nil {
+			return rec, m, err
+		}
+		if _, err := cpu.RunWarm(13, 4, rec); err != nil {
+			return rec, m, err
+		}
+	}
+	return rec, m, nil
 }

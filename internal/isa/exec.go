@@ -62,7 +62,7 @@ type CPU struct {
 	dcHi   uint64
 
 	// Superblock engine state (see superblock.go). sb is the
-	// direct-mapped translated-block cache; sbEpoch is bumped by decode
+	// hashed translated-block cache; sbEpoch is bumped by decode
 	// flushes and code-range stores so stale blocks re-verify lazily;
 	// [sbLo, sbHi) summarizes all translated code for the storeMem fast
 	// reject; sbCur/sbKilled coordinate in-flight self-invalidation.

@@ -3,13 +3,13 @@ package isa
 // Superblock threaded-code engine: the fast-forward path of the
 // functional CPU. Step() pays a fixed fetch/decode/dispatch cost per
 // instruction; RunFor instead discovers straight-line regions
-// (fall-through until an unconditional jump, capped length), translates
-// each once into a contiguous array of micro-handler closures with
-// operands pre-extracted — register indices resolved, immediates and
-// every PC-relative value (AUIPC results, branch/jump targets, link
-// addresses) folded to constants — and then executes the handlers
-// back-to-back with a single PC lookup per block entry and no
-// per-instruction switch.
+// (fall-through until an unconditional jump or the next 64-instruction
+// aligned address), translates each once into a contiguous array of
+// micro-handler closures with operands pre-extracted — register indices
+// resolved, immediates and every PC-relative value (AUIPC results,
+// branch/jump targets, link addresses) folded to constants — and then
+// executes the handlers back-to-back with a single PC lookup per block
+// entry and no per-instruction switch.
 //
 // Invalidation contract (the part that keeps this bit-identical to
 // Step, including under self-modifying code):
@@ -37,11 +37,22 @@ package isa
 // block exit). Blocks never contain them, so a block can neither halt
 // nor flush mid-flight.
 const (
-	sbBits   = 12 // 4096 entries, direct-mapped by word address
+	sbBits   = 12 // 4096 entries, slot chosen by sbSlot(pc)
 	sbSize   = 1 << sbBits
-	sbMask   = sbSize - 1
-	sbMaxLen = 64 // instructions per block, cap on straight-line discovery
+	sbMaxLen = 64 // instructions per block: blocks end at sbAlign-aligned addresses
+	sbAlign  = sbMaxLen * instBytes
 )
+
+// sbSlot maps a block's entry PC onto the block cache by a
+// multiplicative (Fibonacci) hash of its word address. Indexing by the
+// low word-address bits instead makes block heads laid out at a
+// power-of-two stride (every 64-instruction-aligned chain link, and
+// code repeated at a large aligned stride) collide in a few slots and
+// retranslate on every visit; the multiplicative hash spreads any
+// stride over the whole table.
+func sbSlot(pc uint64) uint64 {
+	return ((pc >> 2) * 0x9e3779b97f4a7c15) >> (64 - sbBits)
+}
 
 // sbHandler executes one pre-decoded instruction. Returning true means
 // the instruction fell through (the logical PC advanced by one
@@ -55,7 +66,8 @@ type superblock struct {
 	end   uint64 // first byte past the translated range
 	epoch uint64 // epoch the block was last verified under
 	code  []sbHandler
-	insts []Inst   // pre-decoded forms, for the traced executor
+	insts []Inst   // pre-decoded forms, for the event executor (warm.go)
+	cls   []Class  // insts[i].Op.Class(), precomputed for the same
 	words []uint32 // exact source words, for re-verification
 }
 
@@ -123,7 +135,7 @@ func (c *CPU) RunFor(n uint64) (uint64, error) {
 		// Anything else (miss, stale epoch, untranslatable head) drops to
 		// lookupSB / Step.
 		pc := c.PC
-		b := c.sb[(pc>>2)&sbMask]
+		b := c.sb[sbSlot(pc)]
 		if b == nil || b.pc != pc || b.epoch != c.sbEpoch {
 			b = c.lookupSB(pc)
 		} else {
@@ -163,33 +175,6 @@ func (c *CPU) RunFor(n uint64) (uint64, error) {
 	return done, nil
 }
 
-// RunForTraced is RunFor with a per-instruction Retired callback,
-// reconstructing the exact records Step would produce (same Seq, PC,
-// NextPC, Taken, MemAddr). It exists for differential testing and
-// trace consumers; the plain RunFor path skips record construction
-// entirely.
-func (c *CPU) RunForTraced(n uint64, emit func(Retired)) (uint64, error) {
-	if !c.sbOn {
-		return c.runForSteppingTraced(n, emit)
-	}
-	c.X[0] = 0
-	var done uint64
-	for done < n && !c.Halted {
-		b := c.lookupSB(c.PC)
-		if b.code == nil {
-			r, err := c.Step()
-			if err != nil {
-				return done, err
-			}
-			emit(r)
-			done++
-			continue
-		}
-		done += c.execSBTraced(b, n-done, emit)
-	}
-	return done, nil
-}
-
 func (c *CPU) runForStepping(n uint64) (uint64, error) {
 	var done uint64
 	for done < n && !c.Halted {
@@ -201,24 +186,11 @@ func (c *CPU) runForStepping(n uint64) (uint64, error) {
 	return done, nil
 }
 
-func (c *CPU) runForSteppingTraced(n uint64, emit func(Retired)) (uint64, error) {
-	var done uint64
-	for done < n && !c.Halted {
-		r, err := c.Step()
-		if err != nil {
-			return done, err
-		}
-		emit(r)
-		done++
-	}
-	return done, nil
-}
-
 // lookupSB returns the (verified) superblock starting at pc,
-// translating on miss. The direct-mapped slot is keyed by word address
-// and tagged with the exact PC, mirroring the decode cache.
+// translating on miss. The slot is chosen by sbSlot and tagged with
+// the exact PC, mirroring the decode cache.
 func (c *CPU) lookupSB(pc uint64) *superblock {
-	e := &c.sb[(pc>>2)&sbMask]
+	e := &c.sb[sbSlot(pc)]
 	b := *e
 	if b != nil && b.pc == pc {
 		if b.epoch == c.sbEpoch {
@@ -261,13 +233,21 @@ func (c *CPU) verifySB(b *superblock) bool {
 
 // translateSB builds a superblock starting at pc: decode forward until
 // an unconditional control transfer (JAL/JALR terminates the block), an
-// untranslatable instruction (excluded; it runs via Step), or the
-// length cap. Conditional branches stay mid-block — not-taken falls
-// through to the next handler, taken exits with the folded target.
+// untranslatable instruction (excluded; it runs via Step), or the next
+// sbAlign-aligned address. Conditional branches stay mid-block —
+// not-taken falls through to the next handler, taken exits with the
+// folded target.
+//
+// Ending at aligned addresses rather than after sbMaxLen instructions
+// keeps block boundaries a property of the code, not of where execution
+// entered it: RunFor stops mid-block whenever its budget runs out, and
+// a length cap would then re-segment the whole straight-line chain from
+// the new entry point. With aligned ends a mid-block entry costs at
+// most one extra block before execution rejoins the cached chain.
 func (c *CPU) translateSB(pc uint64) *superblock {
 	b := &superblock{pc: pc, epoch: c.sbEpoch}
 	addr := pc
-	for len(b.code) < sbMaxLen {
+	for {
 		word := uint32(c.Mem.Load(addr, instBytes))
 		in := Decode(word)
 		h, ends := sbHandlerFor(in, addr)
@@ -276,9 +256,10 @@ func (c *CPU) translateSB(pc uint64) *superblock {
 		}
 		b.code = append(b.code, h)
 		b.insts = append(b.insts, in)
+		b.cls = append(b.cls, in.Op.Class())
 		b.words = append(b.words, word)
 		addr += instBytes
-		if ends {
+		if ends || addr%sbAlign == 0 {
 			break
 		}
 	}
@@ -292,70 +273,6 @@ func (c *CPU) translateSB(pc uint64) *superblock {
 	}
 	b.end = addr
 	return b
-}
-
-// execSBTraced runs up to budget handlers of b back-to-back (updating
-// PC and InstRet exactly once at exit, like RunFor's inlined hot loop),
-// plus exact Retired reconstruction. Taken and
-// MemAddr are computed from the pre-handler register state (a load may
-// clobber its own base register); NextPC falls out of the handler's
-// fall-through/exit result.
-func (c *CPU) execSBTraced(b *superblock, budget uint64, emit func(Retired)) uint64 {
-	n := uint64(len(b.code))
-	if budget < n {
-		n = budget
-	}
-	c.sbCur = b
-	var i uint64
-	for i < n {
-		in := b.insts[i]
-		pc := b.pc + i*instBytes
-		r := Retired{Seq: c.InstRet + i, PC: pc, Inst: in}
-		switch in.Op.Class() {
-		case ClassBranch:
-			r.Taken = sbBranchTaken(c, in)
-		case ClassLoad, ClassStore:
-			r.MemAddr = c.Reg(in.Rs1) + uint64(in.Imm)
-		case ClassAtomic:
-			r.MemAddr = c.Reg(in.Rs1)
-		}
-		ok := b.code[i](c)
-		i++
-		if ok {
-			r.NextPC = pc + instBytes
-		} else {
-			r.NextPC = c.PC
-		}
-		emit(r)
-		if !ok {
-			c.sbCur = nil
-			c.InstRet += i
-			return i
-		}
-	}
-	c.sbCur = nil
-	c.PC = b.pc + i*instBytes
-	c.InstRet += i
-	return i
-}
-
-func sbBranchTaken(c *CPU, in Inst) bool {
-	a, b := c.Reg(in.Rs1), c.Reg(in.Rs2)
-	switch in.Op {
-	case BEQ:
-		return a == b
-	case BNE:
-		return a != b
-	case BLT:
-		return int64(a) < int64(b)
-	case BGE:
-		return int64(a) >= int64(b)
-	case BLTU:
-		return a < b
-	case BGEU:
-		return a >= b
-	}
-	return false
 }
 
 // sbNop retires an instruction with no architectural effect (writes to

@@ -105,6 +105,9 @@ func (c *Cache) Stats() CacheStats { return c.stats }
 // BlockAddr returns addr truncated to its cache-block address.
 func (c *Cache) BlockAddr(addr uint64) uint64 { return addr >> c.blkOff }
 
+// BlockShift returns log2 of the block size: BlockAddr(a) == a>>BlockShift().
+func (c *Cache) BlockShift() uint { return c.blkOff }
+
 // AccessResult describes one cache access.
 type AccessResult struct {
 	Hit       bool

@@ -110,9 +110,10 @@ func Run(t Target, p Policy, o Options) (*Report, error) {
 	after := scratch[ew : ew : 2*ew]
 	windowDelta := scratch[2*ew : 2*ew : 3*ew]
 	var ffInsts, warmReplays uint64
+	warm := &warmer{t: t}
 
 	// The fast-forward span splits into a plain stretch and a warmed
-	// tail: the last `warm` instructions before each window also train
+	// tail: the last `warmTail` instructions before each window also train
 	// the caches, TLBs, and predictors as they execute. This is
 	// equivalent to replaying the last K retirements (the access
 	// sequence, and hence the LRU and predictor state, is identical) but
@@ -156,7 +157,7 @@ func Run(t Target, p Policy, o Options) (*Report, error) {
 		if err == nil && warmTail > 0 && !t.CPU.Halted {
 			sw := o.Tracer.Begin("warm-up", "sample", o.Tid)
 			var warmed uint64
-			warmed, err = fastForwardWarming(t, warmTail)
+			warmed, err = warm.run(warmTail)
 			sw.End(obs.Arg{Key: "warmed", Val: warmed})
 			ffed += warmed
 			warmReplays += warmed
@@ -282,43 +283,37 @@ func fastForward(cpu *isa.CPU, n uint64) (uint64, error) {
 	return cpu.RunFor(n)
 }
 
-// fastForwardWarming steps the functional CPU for up to n instructions,
-// training the I-side (on fetch-block change), the branch predictors,
-// and the D-side caches/TLBs with each retirement — functional warming
-// with no pipeline timing. Every access uses the core's current cycle as
-// "now"; order alone determines the resulting LRU/predictor state.
-func fastForwardWarming(t Target, n uint64) (uint64, error) {
-	cpu, hier, pred := t.CPU, t.Hier, t.Pred
-	now := t.Core.Cycles()
-	var lastBlk uint64
-	haveBlk := false
-	var warmed uint64
-	for warmed < n && !cpu.Halted {
-		r, err := cpu.Step()
-		if err != nil {
-			return warmed, err
-		}
-		warmed++
-		if blk := hier.L1I.BlockAddr(r.PC); !haveBlk || blk != lastBlk {
-			hier.AccessI(r.PC, now)
-			lastBlk, haveBlk = blk, true
-		}
-		switch {
-		case r.Inst.Op.IsBranch():
-			pred.UpdateBranch(r.PC, r.Taken)
-			if r.Taken {
-				pred.UpdateTarget(r.PC, r.NextPC)
-			}
-		case r.NextPC != r.PC+isa.InstBytes:
-			pred.UpdateTarget(r.PC, r.NextPC)
-		}
-		if r.IsMem() {
-			cls := r.Inst.Op.Class()
-			hier.AccessD(r.MemAddr, cls == isa.ClassStore || cls == isa.ClassAtomic, now)
-		}
-	}
-	return warmed, nil
+// warmer is the isa.WarmSink of functional warming: it trains its
+// target's I-side on each new fetch block, the branch predictor on each
+// control transfer, and the D-side caches and TLBs on each data access,
+// with no pipeline timing. Every access of a span uses one "now" (the
+// core's cycle when the span starts); order alone determines the
+// resulting LRU and predictor state. A run keeps one warmer for all its
+// spans so the sink escapes to the heap once, not once per window.
+type warmer struct {
+	t   Target
+	now uint64
 }
+
+// run executes up to n instructions of t's functional CPU on the
+// superblock engine (isa.CPU.RunWarm), warming t as they retire.
+func (w *warmer) run(n uint64) (uint64, error) {
+	w.now = w.t.Core.Cycles()
+	return w.t.CPU.RunWarm(n, w.t.Hier.L1I.BlockShift(), w)
+}
+
+func (w *warmer) Fetch(pc uint64) { w.t.Hier.AccessI(pc, w.now) }
+
+func (w *warmer) Branch(pc uint64, taken bool, next uint64) {
+	w.t.Pred.UpdateBranch(pc, taken)
+	if taken {
+		w.t.Pred.UpdateTarget(pc, next)
+	}
+}
+
+func (w *warmer) Jump(pc, next uint64) { w.t.Pred.UpdateTarget(pc, next) }
+
+func (w *warmer) Mem(addr uint64, write bool) { w.t.Hier.AccessD(addr, write, w.now) }
 
 // diffInto writes after-before into dst (grown as needed).
 func diffInto(dst, after, before []uint64) []uint64 {

@@ -59,6 +59,7 @@ type Exec struct {
 	window  uint64 // detailed window length in cycles
 	version int    // deltas applied so far
 	lastIdx int
+	warm    warmer
 	before  []uint64
 	after   []uint64
 	delta   []uint64
@@ -73,7 +74,7 @@ func NewExec(plan *Plan, t Target, window uint64) (*Exec, error) {
 	if window == 0 {
 		return nil, fmt.Errorf("sample: zero window length")
 	}
-	return &Exec{plan: plan, t: t, window: window, lastIdx: -1}, nil
+	return &Exec{plan: plan, t: t, window: window, lastIdx: -1, warm: warmer{t: t}}, nil
 }
 
 // Window executes spec i and returns its result. The recipe makes the
@@ -109,7 +110,7 @@ func (e *Exec) Window(i int, o *Options) (WindowResult, error) {
 	e.t.CPU.Restore(spec.Warm)
 	if spec.WarmInsts > 0 {
 		sw := o.Tracer.Begin("warm-up", "sample", o.Tid)
-		warmed, err := fastForwardWarming(e.t, spec.WarmInsts)
+		warmed, err := e.warm.run(spec.WarmInsts)
 		sw.End(obs.Arg{Key: "warmed", Val: warmed})
 		if o.Telemetry != nil {
 			o.Telemetry.WarmupReplays.Add(warmed)

@@ -86,7 +86,8 @@ func BuildPlan(cpu *isa.CPU, m *mem.Sparse, p Policy, o Options) (*Plan, error) 
 	span.End(
 		obs.Arg{Key: "insts", Val: pl.TotalInsts},
 		obs.Arg{Key: "windows", Val: len(pl.Specs)},
-		obs.Arg{Key: "delta_bytes", Val: pl.DeltaBytes()})
+		obs.Arg{Key: "delta_bytes", Val: pl.DeltaBytes()},
+		obs.Arg{Key: "translations", Val: cpu.SuperblockStats().Sub(sb0).Translations})
 	if o.Telemetry != nil {
 		o.Telemetry.FFInsts.Add(pl.TotalInsts)
 	}

@@ -221,6 +221,10 @@ func TestServeValidation(t *testing.T) {
 		{"unknown core", `{"jobs":[{"core":"cray","kernel":"vvadd"}]}`, http.StatusBadRequest},
 		{"bad boom size", `{"jobs":[{"core":"boom","kernel":"vvadd","size":"colossal"}]}`, http.StatusBadRequest},
 		{"sample_par without sample", `{"jobs":[{"core":"rocket","kernel":"vvadd","sample_par":4}]}`, http.StatusBadRequest},
+		// Bad sampling policies used to pass JobSpec.Job and come back as
+		// a 200 carrying a result error.
+		{"negative warmup", `{"jobs":[{"core":"rocket","kernel":"towers","sample":{"Window":2048,"Period":24576,"Warmup":-5}}]}`, http.StatusBadRequest},
+		{"zero period", `{"jobs":[{"core":"rocket","kernel":"towers","sample":{"Window":2048,"Period":0,"Warmup":16}}]}`, http.StatusBadRequest},
 		// Used to pass JobSpec.Job and then panic the worker in
 		// mem.NewCache, killing the server.
 		{"empty rocket_config", `{"jobs":[{"core":"rocket","kernel":"towers","rocket_config":{}}]}`, http.StatusBadRequest},

@@ -74,6 +74,9 @@ func (s JobSpec) Job() (sim.Job, error) {
 		return sim.Job{}, fmt.Errorf("sample_par requires an enabled sample policy")
 	}
 	if s.Sample != nil && s.Sample.Enabled() {
+		if err := s.Sample.Validate(); err != nil {
+			return sim.Job{}, err
+		}
 		if s.SamplePar > 0 {
 			j = j.WithParallelSampling(*s.Sample, s.SamplePar)
 		} else {
