@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race bench bench-smoke bench-diff alloc-smoke obs-smoke sample-smoke sample-par-smoke superblock-smoke detail-smoke serve-smoke load-smoke perfbench-test check fuzz-smoke fmt vet scratch-guard ci
+.PHONY: all build test race bench bench-smoke alloc-smoke obs-smoke sample-smoke sample-par-smoke superblock-smoke detail-smoke serve-smoke load-smoke perfbench-test check fuzz-smoke fmt vet scratch-guard ci
 
 all: build
 
@@ -23,13 +23,6 @@ bench:
 # runner paths end to end without benchmarking-grade runtimes.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Sweep -benchtime=1x .
-
-# Benchmark snapshot regression gate: diff the time-per-work metrics the
-# two newest BENCH_<n>.json snapshots share and flag slowdowns beyond 10%
-# (see internal/benchdiff). Non-blocking in ci — snapshots measure
-# different things across PRs, so a disjoint pair is informational.
-bench-diff:
-	$(GO) run ./cmd/icicle-benchdiff -dir . -tol 0.10
 
 # Allocation-regression smoke: fails if a warmed core's Reset+RunCycles
 # exceeds the checked-in allocs-per-run budget (see alloc_test.go),
@@ -135,4 +128,3 @@ scratch-guard:
 	fi
 
 ci: fmt vet scratch-guard build race bench-smoke alloc-smoke obs-smoke sample-smoke sample-par-smoke superblock-smoke detail-smoke serve-smoke load-smoke perfbench-test check fuzz-smoke
-	-$(MAKE) bench-diff

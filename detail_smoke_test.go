@@ -4,14 +4,18 @@
 // architectural state. These tests run the same kernel with the skip
 // enabled and disabled and require reflect.DeepEqual on the whole
 // Result, for Rocket and every BOOM size, plus a sampled run whose
-// windows exercise the skip path inside RunWindowBounded. `make
+// windows exercise the skip path inside RunWindow(maxCycles, maxInsts),
+// and a chunked run whose window boundaries cap every skip. `make
 // detail-smoke` runs them race-gated in CI.
 package icicle_test
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
+	"icicle/internal/asm"
 	"icicle/internal/boom"
 	"icicle/internal/kernel"
 	"icicle/internal/perf"
@@ -150,10 +154,9 @@ func TestDetailSmokeResetReuse(t *testing.T) {
 }
 
 // TestDetailSmokeSampledReport proves the skip path composes with the
-// two-phase sampled engine: detailed windows run through
-// RunWindowBounded, whose skipLimit caps every jump at the window
-// boundary, so the sampled report must be identical with and without
-// skipping.
+// sampled engine: detailed windows run through RunWindow, whose
+// skipLimit caps every jump at the window boundary, so the sampled
+// report must be identical with and without skipping.
 func TestDetailSmokeSampledReport(t *testing.T) {
 	k, err := kernel.ByName("spmv")
 	if err != nil {
@@ -209,5 +212,101 @@ func TestDetailSmokeSampledReport(t *testing.T) {
 	}
 	if bBdOn != bBdOff {
 		t.Errorf("sampled boom breakdown diverges: on=%+v off=%+v", bBdOn, bBdOff)
+	}
+}
+
+// detailRunner is the run-loop surface both detailed cores share.
+type detailRunner interface {
+	RunCycles() error
+	RunWindow(maxCycles, maxInsts uint64) error
+	Done() bool
+	Cycles() uint64
+	Insts() uint64
+	CopyTally(dst []uint64) []uint64
+	SetStallSkip(on bool)
+	SkipStats() (cycles, events uint64)
+}
+
+// TestDetailSmokeChunkedRunWindow: each core has one run loop, whatever
+// its bounds. Back-to-back RunWindow(k, 0) calls until Done reproduce a
+// single RunCycles exactly — cycles, instructions and dense tally — with
+// skipping on and off and no window running past k cycles, and
+// RunWindow(k, n) stops at exactly n retired instructions.
+func TestDetailSmokeChunkedRunWindow(t *testing.T) {
+	cores := []struct {
+		name  string
+		build func(*asm.Program) detailRunner
+	}{
+		{"rocket", func(p *asm.Program) detailRunner { return rocket.New(rocket.DefaultConfig(), p) }},
+		{"SmallBOOM", func(p *asm.Program) detailRunner { return boom.MustNew(boom.NewConfig(boom.Small), p) }},
+		{"LargeBOOM", func(p *asm.Program) detailRunner { return boom.MustNew(boom.NewConfig(boom.Large), p) }},
+	}
+	anySkipped := false
+	for _, cc := range cores {
+		for _, name := range []string{"brmiss", "fencemix"} {
+			k, err := kernel.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog := k.MustProgram()
+			for _, skip := range []bool{true, false} {
+				id := fmt.Sprintf("%s/%s/skip=%v", cc.name, name, skip)
+				build := func() detailRunner {
+					c := cc.build(prog)
+					c.SetStallSkip(skip)
+					return c
+				}
+				ref := build()
+				if err := ref.RunCycles(); err != nil {
+					t.Fatalf("%s: %v", id, err)
+				}
+				want := ref.CopyTally(nil)
+
+				for _, chunk := range []uint64{1, 37, 1000} {
+					c := build()
+					for calls := uint64(0); !c.Done(); calls++ {
+						if calls > ref.Cycles() {
+							t.Fatalf("%s chunk %d: not done after %d windows", id, chunk, calls)
+						}
+						before := c.Cycles()
+						if err := c.RunWindow(chunk, 0); err != nil {
+							t.Fatalf("%s chunk %d: %v", id, chunk, err)
+						}
+						if ran := c.Cycles() - before; ran > chunk {
+							t.Fatalf("%s chunk %d: window ran %d cycles", id, chunk, ran)
+						}
+					}
+					if c.Cycles() != ref.Cycles() || c.Insts() != ref.Insts() {
+						t.Errorf("%s chunk %d: %d cycles/%d insts, straight run %d/%d",
+							id, chunk, c.Cycles(), c.Insts(), ref.Cycles(), ref.Insts())
+					}
+					if got := c.CopyTally(nil); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s chunk %d: dense tally diverges from the straight run", id, chunk)
+					}
+					if sc, _ := c.SkipStats(); sc > 0 {
+						anySkipped = true
+					}
+				}
+
+				for _, n := range []uint64{1, 5, 333} {
+					c := build()
+					for !c.Done() {
+						before := c.Insts()
+						if err := c.RunWindow(math.MaxUint64, n); err != nil {
+							t.Fatalf("%s bound %d: %v", id, n, err)
+						}
+						if got := c.Insts() - before; got > n || (got < n && !c.Done()) {
+							t.Fatalf("%s bound %d: window retired %d instructions", id, n, got)
+						}
+					}
+					if c.Insts() != ref.Insts() {
+						t.Errorf("%s bound %d: %d insts in all, straight run %d", id, n, c.Insts(), ref.Insts())
+					}
+				}
+			}
+		}
+	}
+	if !anySkipped {
+		t.Error("skip path never engaged in a chunked run (vacuous equivalence)")
 	}
 }

@@ -42,6 +42,11 @@ func TestConfigsValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("inconsistent ports validated")
 	}
+	badArch := large()
+	badArch.PMUArch = 99
+	if err := badArch.Validate(); err == nil {
+		t.Error("unknown PMU architecture validated")
+	}
 	noCache := large()
 	noCache.Hierarchy.L1D = mem.CacheConfig{}
 	if err := noCache.Validate(); err == nil {

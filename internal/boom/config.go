@@ -92,6 +92,10 @@ type Config struct {
 	MaxInsts  uint64
 }
 
+// defaultMaxCycles is the cycle budget of the Table IV configurations,
+// and the one a zero MaxCycles stands for.
+const defaultMaxCycles = 2_000_000_000
+
 // CommonTiming fills the fields every size shares.
 func commonTiming(c Config) Config {
 	c.RedirectLatency = 4
@@ -103,7 +107,7 @@ func commonTiming(c Config) Config {
 	c.MulLatency = 3
 	c.DivLatency = 16
 	c.PMUArch = pmu.AddWires
-	c.MaxCycles = 2_000_000_000
+	c.MaxCycles = defaultMaxCycles
 	c.MaxInsts = 500_000_000
 	// "The Fetch Buffer typically holds two cycles of instruction data"
 	// (§IV-A) — two *decode* cycles; a deeper buffer would hide the fetch
@@ -178,6 +182,9 @@ func (c Config) Validate() error {
 	}
 	if c.ROBEntries < 2*c.DecodeWidth {
 		return fmt.Errorf("boom: ROB too small (%d)", c.ROBEntries)
+	}
+	if err := c.PMUArch.Validate(); err != nil {
+		return err
 	}
 	return c.Hierarchy.Validate()
 }

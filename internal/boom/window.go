@@ -1,7 +1,6 @@
 package boom
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -11,9 +10,9 @@ import (
 )
 
 // Sampled-simulation support: the state-handoff contract internal/sample
-// drives (see DESIGN.md "Sampled simulation"). The cycle loop itself is
-// untouched — a detailed window runs the exact same step() as a full run,
-// so the 0 allocs/op invariant holds inside windows too.
+// drives (see DESIGN.md "Sampled simulation"). A detailed window runs
+// the same RunWindow loop as a full run (core.go), so the 0 allocs/op
+// invariant holds inside windows too.
 
 // ResetPipeline clears the pipeline and timing bookkeeping only: the
 // fetch buffer, putback list, wrong-path state, ROB, issue queues, rename
@@ -67,72 +66,6 @@ func (c *Core) ResetPipeline() {
 func (c *Core) Attach(ck isa.Checkpoint) {
 	c.CPU.Restore(ck)
 	c.ResetPipeline()
-}
-
-// RunWindow runs the detailed cycle loop for up to maxCycles more cycles,
-// stopping early if the workload halts and the pipeline drains. The
-// config's MaxCycles budget still bounds the cumulative detailed cycle
-// count as a runaway guard.
-func (c *Core) RunWindow(maxCycles uint64) error {
-	budget := c.Cfg.MaxCycles
-	if budget == 0 {
-		budget = 2_000_000_000
-	}
-	end := c.cycle + maxCycles
-	// Cap skips at the window end and the cycle budget so the loop
-	// re-evaluates both conditions exactly where per-cycle stepping would.
-	c.skipLimit = end
-	if budget < end {
-		c.skipLimit = budget
-	}
-	for !c.done && c.cycle < end {
-		if c.cycle >= budget {
-			c.flushTelemetry()
-			return fmt.Errorf("boom: cycle budget %d exhausted in sampled window (pc 0x%x)", budget, c.CPU.PC)
-		}
-		if err := c.step(); err != nil {
-			c.flushTelemetry()
-			return err
-		}
-	}
-	c.flushTelemetry()
-	return nil
-}
-
-// RunWindowBounded is RunWindow with an additional exact instruction
-// bound: the window stops once maxInsts instructions have retired, even
-// mid-commit-group, so it can never store past the memory-delta boundary
-// the two-phase sampling plan assigned it. A zero maxInsts means
-// unbounded (plain RunWindow).
-func (c *Core) RunWindowBounded(maxCycles, maxInsts uint64) error {
-	if maxInsts == 0 {
-		return c.RunWindow(maxCycles)
-	}
-	budget := c.Cfg.MaxCycles
-	if budget == 0 {
-		budget = 2_000_000_000
-	}
-	end := c.cycle + maxCycles
-	c.skipLimit = end
-	if budget < end {
-		c.skipLimit = budget
-	}
-	// No skip cap is needed for the instruction bound: a skipped stretch
-	// retires nothing, and the loop re-checks retiredTotal every step.
-	c.retireLimit = c.retiredTotal + maxInsts
-	defer func() { c.retireLimit = 0 }()
-	for !c.done && c.cycle < end && c.retiredTotal < c.retireLimit {
-		if c.cycle >= budget {
-			c.flushTelemetry()
-			return fmt.Errorf("boom: cycle budget %d exhausted in sampled window (pc 0x%x)", budget, c.CPU.PC)
-		}
-		if err := c.step(); err != nil {
-			c.flushTelemetry()
-			return err
-		}
-	}
-	c.flushTelemetry()
-	return nil
 }
 
 // WindowInstBound returns an upper bound on the instructions the core's

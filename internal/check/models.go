@@ -154,19 +154,18 @@ func rocketOnce(c *rocket.Core, opt RunOptions) (Outcome, error) {
 			return Outcome{}, err
 		}
 	}
-	res, err := c.Run()
-	if err != nil {
+	if err := c.RunCycles(); err != nil {
 		return Outcome{}, err
 	}
+	res, b, err := perf.TallyRocket(c)
 	out := Outcome{
-		Cycles: res.Cycles,
-		Insts:  res.Insts,
-		Exit:   res.Exit,
-		Regs:   c.CPU.X,
-		Tally:  res.Tally,
-	}
-	if b, err := core.Evaluate(core.DefaultConfig(1, 1), perf.RocketCounts(res)); err == nil {
-		out.Breakdown, out.HasBreakdown = b, true
+		Cycles:       res.Cycles,
+		Insts:        res.Insts,
+		Exit:         res.Exit,
+		Regs:         c.CPU.X,
+		Tally:        res.Tally,
+		Breakdown:    b,
+		HasBreakdown: err == nil,
 	}
 	if tc != nil {
 		if err := tc.finish(&out); err != nil {
@@ -226,20 +225,18 @@ func boomOnce(c *boom.Core, opt RunOptions) (Outcome, error) {
 			return Outcome{}, err
 		}
 	}
-	res, err := c.Run()
-	if err != nil {
+	if err := c.RunCycles(); err != nil {
 		return Outcome{}, err
 	}
+	res, b, err := perf.TallyBoom(c)
 	out := Outcome{
-		Cycles: res.Cycles,
-		Insts:  res.Insts,
-		Exit:   res.Exit,
-		Regs:   c.CPU.X,
-		Tally:  res.Tally,
-	}
-	wc, wi := c.Cfg.DecodeWidth, c.Cfg.IssueWidth
-	if b, err := core.Evaluate(core.DefaultConfig(wc, wi), perf.BoomCounts(res)); err == nil {
-		out.Breakdown, out.HasBreakdown = b, true
+		Cycles:       res.Cycles,
+		Insts:        res.Insts,
+		Exit:         res.Exit,
+		Regs:         c.CPU.X,
+		Tally:        res.Tally,
+		Breakdown:    b,
+		HasBreakdown: err == nil,
 	}
 	if tc != nil {
 		if err := tc.finish(&out); err != nil {

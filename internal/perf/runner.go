@@ -5,57 +5,8 @@ import (
 	"icicle/internal/core"
 	"icicle/internal/kernel"
 	"icicle/internal/rocket"
+	"icicle/internal/sample"
 )
-
-// RocketCounts maps a Rocket run's exact event tallies onto the TMA model
-// inputs. Rocket is single-issue, so µops ≡ instructions; machine-clear
-// flushes are D$-miss replays.
-func RocketCounts(res rocket.Result) core.Counts {
-	return core.Counts{
-		Cycles:        res.Cycles,
-		InstRet:       res.Insts,
-		UopsIssued:    res.Tally[rocket.EvInstIssued],
-		UopsRetired:   res.Tally[rocket.EvInstRet],
-		FetchBubbles:  res.Tally[rocket.EvFetchBubbles],
-		Recovering:    res.Tally[rocket.EvRecovering],
-		Flushes:       res.Tally[rocket.EvReplay],
-		BrMispred:     res.Tally[rocket.EvBrMispredict],
-		FenceRetired:  res.Tally[rocket.EvFence],
-		ICacheBlocked: res.Tally[rocket.EvICacheBlocked],
-		DCacheBlocked: res.Tally[rocket.EvDCacheBlocked],
-		ITLBMisses:    res.Tally[rocket.EvITLBMiss],
-		DTLBMisses:    res.Tally[rocket.EvDTLBMiss],
-		L2TLBMisses:   res.Tally[rocket.EvL2TLBMiss],
-	}
-}
-
-// BoomCounts maps a BOOM run's exact event tallies onto the TMA model
-// inputs. The Flush event counts every pipeline flush; branch mispredicts
-// are recorded separately, so machine clears are the difference.
-func BoomCounts(res boom.Result) core.Counts {
-	flush := res.Tally[boom.EvFlush]
-	bm := res.Tally[boom.EvBrMispredict]
-	var clears uint64
-	if flush > bm {
-		clears = flush - bm
-	}
-	return core.Counts{
-		Cycles:        res.Cycles,
-		InstRet:       res.Insts,
-		UopsIssued:    res.Tally[boom.EvUopsIssued],
-		UopsRetired:   res.Tally[boom.EvUopsRetired],
-		FetchBubbles:  res.Tally[boom.EvFetchBubbles],
-		Recovering:    res.Tally[boom.EvRecovering],
-		Flushes:       clears,
-		BrMispred:     bm,
-		FenceRetired:  res.Tally[boom.EvFenceRetired],
-		ICacheBlocked: res.Tally[boom.EvICacheBlocked],
-		DCacheBlocked: res.Tally[boom.EvDCacheBlocked],
-		ITLBMisses:    res.Tally[boom.EvITLBMiss],
-		DTLBMisses:    res.Tally[boom.EvDTLBMiss],
-		L2TLBMisses:   res.Tally[boom.EvL2TLBMiss],
-	}
-}
 
 // RunRocket simulates the kernel on Rocket and evaluates TMA.
 func RunRocket(cfg rocket.Config, k *kernel.Kernel) (rocket.Result, core.Breakdown, error) {
@@ -91,9 +42,9 @@ func SimulateRocketOn(c *rocket.Core, k *kernel.Kernel) error {
 // TallyRocket is the evaluation half of RunRocketOn: extract the dense
 // event tallies and evaluate the TMA tree over them.
 func TallyRocket(c *rocket.Core) (rocket.Result, core.Breakdown, error) {
-	res := c.Result()
-	b, err := core.Evaluate(core.DefaultConfig(1, 1), RocketCounts(res))
-	return res, b, err
+	o := rocketOptions(sample.Options{})
+	b, err := core.Evaluate(o.TMA, o.Counts(c.Cycles(), c.Insts(), c.CopyTally(nil)))
+	return c.Result(), b, err
 }
 
 // RunBoom simulates the kernel on BOOM and evaluates TMA.
@@ -131,7 +82,7 @@ func SimulateBoomOn(c *boom.Core, k *kernel.Kernel) error {
 
 // TallyBoom is the evaluation half of RunBoomOn.
 func TallyBoom(c *boom.Core) (boom.Result, core.Breakdown, error) {
-	res := c.Result()
-	b, err := core.Evaluate(core.DefaultConfig(c.Cfg.DecodeWidth, c.Cfg.IssueWidth), BoomCounts(res))
-	return res, b, err
+	o := boomOptions(c, sample.Options{})
+	b, err := core.Evaluate(o.TMA, o.Counts(c.Cycles(), c.Insts(), c.CopyTally(nil)))
+	return c.Result(), b, err
 }

@@ -31,8 +31,10 @@ var rocketIdx = struct {
 	l2tlbMiss:     rocket.Events.MustIndex(rocket.EvL2TLBMiss),
 }
 
-// RocketCountsFn returns the dense-tally analogue of RocketCounts for
-// the sampling controller.
+// RocketCountsFn maps Rocket's dense event tallies onto the TMA model
+// inputs, for full-detail runs and sampled windows alike. Rocket is
+// single-issue, so µops ≡ instructions; machine-clear flushes are D$-miss
+// replays.
 func RocketCountsFn() sample.CountsFn {
 	return func(cycles, insts uint64, tally []uint64) core.Counts {
 		return core.Counts{
@@ -54,9 +56,12 @@ func RocketCountsFn() sample.CountsFn {
 	}
 }
 
-// BoomCountsFn returns the dense-tally analogue of BoomCounts for the
-// sampling controller. BOOM's event space is per-configuration, so the
-// indices are resolved from the given core's space.
+// BoomCountsFn maps a BOOM core's dense event tallies onto the TMA model
+// inputs, for full-detail runs and sampled windows alike. BOOM's event
+// space is per-configuration, so the indices are resolved from the given
+// core's space. The Flush event counts every pipeline flush; branch
+// mispredicts are recorded separately, so machine clears are the
+// difference.
 func BoomCountsFn(c *boom.Core) sample.CountsFn {
 	s := c.Space
 	var idx = struct {
@@ -121,6 +126,37 @@ func BoomEventNames(c *boom.Core) []string {
 	return names
 }
 
+// rocketOptions fills o's zero-valued evaluation glue with Rocket's: the
+// counts table, a single-issue TMA config, and the event names.
+func rocketOptions(o sample.Options) sample.Options {
+	if o.Counts == nil {
+		o.Counts = RocketCountsFn()
+	}
+	if o.TMA.CommitWidth == 0 {
+		o.TMA = core.DefaultConfig(1, 1)
+	}
+	if o.EventNames == nil {
+		o.EventNames = RocketEventNames()
+	}
+	return o
+}
+
+// boomOptions fills o's zero-valued evaluation glue with the BOOM core's:
+// its counts table, a TMA config at its decode and issue widths, and its
+// event names.
+func boomOptions(c *boom.Core, o sample.Options) sample.Options {
+	if o.Counts == nil {
+		o.Counts = BoomCountsFn(c)
+	}
+	if o.TMA.CommitWidth == 0 {
+		o.TMA = core.DefaultConfig(c.Cfg.DecodeWidth, c.Cfg.IssueWidth)
+	}
+	if o.EventNames == nil {
+		o.EventNames = BoomEventNames(c)
+	}
+	return o
+}
+
 // SampleRocket runs the kernel on Rocket under the sampling policy with
 // default options and returns the extrapolated result, report, and TMA
 // breakdown.
@@ -142,16 +178,7 @@ func SampleRocketOn(c *rocket.Core, k *kernel.Kernel, p sample.Policy, o sample.
 		return rocket.Result{}, nil, core.Breakdown{}, err
 	}
 	c.Reset(prog)
-	if o.Counts == nil {
-		o.Counts = RocketCountsFn()
-	}
-	if o.TMA.CommitWidth == 0 {
-		o.TMA = core.DefaultConfig(1, 1)
-	}
-	if o.EventNames == nil {
-		o.EventNames = RocketEventNames()
-	}
-	rep, err := sample.Run(sample.Target{Core: c, CPU: c.CPU, Hier: c.Hier, Pred: c.Pred}, p, o)
+	rep, err := sample.Run(sample.Target{Core: c, CPU: c.CPU, Hier: c.Hier, Pred: c.Pred}, p, rocketOptions(o))
 	if err != nil {
 		return rocket.Result{}, nil, core.Breakdown{}, err
 	}
@@ -189,16 +216,7 @@ func SampleBoomOn(c *boom.Core, k *kernel.Kernel, p sample.Policy, o sample.Opti
 		return boom.Result{}, nil, core.Breakdown{}, err
 	}
 	c.Reset(prog)
-	if o.Counts == nil {
-		o.Counts = BoomCountsFn(c)
-	}
-	if o.TMA.CommitWidth == 0 {
-		o.TMA = core.DefaultConfig(c.Cfg.DecodeWidth, c.Cfg.IssueWidth)
-	}
-	if o.EventNames == nil {
-		o.EventNames = BoomEventNames(c)
-	}
-	rep, err := sample.Run(sample.Target{Core: c, CPU: c.CPU, Hier: c.Hier, Pred: c.Pred}, p, o)
+	rep, err := sample.Run(sample.Target{Core: c, CPU: c.CPU, Hier: c.Hier, Pred: c.Pred}, p, boomOptions(c, o))
 	if err != nil {
 		return boom.Result{}, nil, core.Breakdown{}, err
 	}

@@ -86,15 +86,7 @@ func SampleRocketParOn(cs []*rocket.Core, k *kernel.Kernel, p sample.Policy, o s
 	if err != nil {
 		return rocket.Result{}, nil, core.Breakdown{}, err
 	}
-	if o.Counts == nil {
-		o.Counts = RocketCountsFn()
-	}
-	if o.TMA.CommitWidth == 0 {
-		o.TMA = core.DefaultConfig(1, 1)
-	}
-	if o.EventNames == nil {
-		o.EventNames = RocketEventNames()
-	}
+	o = rocketOptions(o)
 	plan, err := PlanFor(k, p, o)
 	if err != nil {
 		return rocket.Result{}, nil, core.Breakdown{}, err
@@ -121,22 +113,6 @@ func SampleRocketParOn(cs []*rocket.Core, k *kernel.Kernel, p sample.Policy, o s
 	return res, rep, rep.Breakdown, nil
 }
 
-// SampleRocketPar is SampleRocketParOn with workers fresh cores.
-func SampleRocketPar(cfg rocket.Config, k *kernel.Kernel, p sample.Policy, o sample.Options, workers int) (rocket.Result, *sample.Report, core.Breakdown, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	prog, err := k.Program()
-	if err != nil {
-		return rocket.Result{}, nil, core.Breakdown{}, err
-	}
-	cs := make([]*rocket.Core, workers)
-	for i := range cs {
-		cs[i] = rocket.New(cfg, prog)
-	}
-	return SampleRocketParOn(cs, k, p, o, nil)
-}
-
 // SampleBoomParOn is the BOOM counterpart of SampleRocketParOn.
 func SampleBoomParOn(cs []*boom.Core, k *kernel.Kernel, p sample.Policy, o sample.Options, memo sample.WindowMemo) (boom.Result, *sample.Report, core.Breakdown, error) {
 	if len(cs) == 0 {
@@ -146,15 +122,7 @@ func SampleBoomParOn(cs []*boom.Core, k *kernel.Kernel, p sample.Policy, o sampl
 	if err != nil {
 		return boom.Result{}, nil, core.Breakdown{}, err
 	}
-	if o.Counts == nil {
-		o.Counts = BoomCountsFn(cs[0])
-	}
-	if o.TMA.CommitWidth == 0 {
-		o.TMA = core.DefaultConfig(cs[0].Cfg.DecodeWidth, cs[0].Cfg.IssueWidth)
-	}
-	if o.EventNames == nil {
-		o.EventNames = BoomEventNames(cs[0])
-	}
+	o = boomOptions(cs[0], o)
 	plan, err := PlanFor(k, p, o)
 	if err != nil {
 		return boom.Result{}, nil, core.Breakdown{}, err
@@ -180,24 +148,4 @@ func SampleBoomParOn(cs []*boom.Core, k *kernel.Kernel, p sample.Policy, o sampl
 		Exit:      rep.Exit,
 	}
 	return res, rep, rep.Breakdown, nil
-}
-
-// SampleBoomPar is SampleBoomParOn with workers fresh cores.
-func SampleBoomPar(cfg boom.Config, k *kernel.Kernel, p sample.Policy, o sample.Options, workers int) (boom.Result, *sample.Report, core.Breakdown, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	prog, err := k.Program()
-	if err != nil {
-		return boom.Result{}, nil, core.Breakdown{}, err
-	}
-	cs := make([]*boom.Core, workers)
-	for i := range cs {
-		c, err := boom.New(cfg, prog)
-		if err != nil {
-			return boom.Result{}, nil, core.Breakdown{}, err
-		}
-		cs[i] = c
-	}
-	return SampleBoomParOn(cs, k, p, o, nil)
 }

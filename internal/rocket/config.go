@@ -32,6 +32,10 @@ type Config struct {
 	MaxInsts  uint64 // instruction budget (0 = default)
 }
 
+// defaultMaxCycles is the cycle budget of the paper's configuration, and
+// the one a zero MaxCycles stands for.
+const defaultMaxCycles = 2_000_000_000
+
 // DefaultConfig returns the paper's Rocket configuration.
 func DefaultConfig() Config {
 	return Config{
@@ -49,7 +53,7 @@ func DefaultConfig() Config {
 		FenceIPenalty:       8,
 		Hierarchy:           mem.DefaultHierarchyConfig(2),
 		PMUArch:             pmu.AddWires,
-		MaxCycles:           2_000_000_000,
+		MaxCycles:           defaultMaxCycles,
 		MaxInsts:            500_000_000,
 	}
 }
@@ -61,10 +65,10 @@ func (Config) CommitWidth() int { return 1 }
 func (Config) IssueWidth() int { return 1 }
 
 // Validate checks the configuration: a power-of-two fetch width, a
-// non-empty instruction buffer, no negative latency or penalty, and a
-// valid memory hierarchy. New does not call it (the paper's configs are
-// valid by construction); configs from outside the program should be
-// checked first.
+// non-empty instruction buffer, no negative latency or penalty, a known
+// PMU architecture, and a valid memory hierarchy. New does not call it
+// (the paper's configs are valid by construction); configs from outside
+// the program should be checked first.
 func (c Config) Validate() error {
 	if c.FetchWidth < 1 || c.FetchWidth&(c.FetchWidth-1) != 0 {
 		return fmt.Errorf("rocket: fetch width %d is not a positive power of two", c.FetchWidth)
@@ -75,6 +79,9 @@ func (c Config) Validate() error {
 	if min(c.BrMispredictPenalty, c.TakenBubble, c.BTBMissPenalty, c.JALRPenalty, c.LoadUseDelay,
 		c.MulLatency, c.DivLatency, c.CSRLatency, c.FencePenalty, c.FenceIPenalty) < 0 {
 		return fmt.Errorf("rocket: negative latency or penalty")
+	}
+	if err := c.PMUArch.Validate(); err != nil {
+		return err
 	}
 	return c.Hierarchy.Validate()
 }

@@ -2,6 +2,8 @@ package rocket
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"icicle/internal/asm"
 	"icicle/internal/branch"
@@ -287,24 +289,50 @@ func (c *Core) Run() (Result, error) {
 // RunCycles simulates until the workload halts and the pipeline drains,
 // without materializing the map-shaped Result: on a warmed (Reset) core
 // the whole loop performs no heap allocation. Call Result afterwards.
-func (c *Core) RunCycles() error {
-	maxCycles := c.Cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = 2_000_000_000
+func (c *Core) RunCycles() error { return c.RunWindow(math.MaxUint64, 0) }
+
+// RunWindow is the core's one run loop. It steps the cycle loop until
+// the workload halts and the pipeline drains, maxCycles more cycles have
+// run, or maxInsts more instructions have retired (0 = unbounded), and
+// fails if the config's MaxCycles budget runs out first. The budget
+// bounds the cumulative cycle count, so it also guards a sampled run's
+// windows against a runaway. An instruction bound is exact: Rocket
+// retires at most one instruction per step, and a skipped stretch
+// retires none, so a plan window never retires past its memory-delta
+// boundary.
+func (c *Core) RunWindow(maxCycles, maxInsts uint64) error {
+	budget := c.Cfg.MaxCycles
+	if budget == 0 {
+		budget = defaultMaxCycles
 	}
-	c.skipLimit = maxCycles
-	for !c.done {
-		if c.cycle >= maxCycles {
-			c.flushTelemetry()
-			return fmt.Errorf("rocket: cycle budget %d exhausted (pc 0x%x)", maxCycles, c.CPU.PC)
+	end := satAdd(c.cycle, maxCycles)
+	instEnd := uint64(math.MaxUint64)
+	if maxInsts != 0 {
+		instEnd = satAdd(c.retiredTotal, maxInsts)
+	}
+	// Cap skips at the window end and the cycle budget so the loop
+	// re-evaluates both conditions exactly where per-cycle stepping would.
+	c.skipLimit = min(end, budget)
+	var err error
+	for !c.done && c.cycle < end && c.retiredTotal < instEnd {
+		if c.cycle >= budget {
+			err = fmt.Errorf("rocket: cycle budget %d exhausted (pc 0x%x)", budget, c.CPU.PC)
+			break
 		}
-		if err := c.step(); err != nil {
-			c.flushTelemetry()
-			return err
+		if err = c.step(); err != nil {
+			break
 		}
 	}
 	c.flushTelemetry()
-	return nil
+	return err
+}
+
+// satAdd returns a+b, saturating at MaxUint64.
+func satAdd(a, b uint64) uint64 {
+	if s, carry := bits.Add64(a, b, 0); carry == 0 {
+		return s
+	}
+	return math.MaxUint64
 }
 
 // Result converts the dense tallies into the map-shaped result. The map

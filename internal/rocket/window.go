@@ -1,19 +1,15 @@
 package rocket
 
 import (
-	"fmt"
-	"math"
-	"math/bits"
-
 	"icicle/internal/branch"
 	"icicle/internal/isa"
 	"icicle/internal/mem"
 )
 
 // Sampled-simulation support: the state-handoff contract internal/sample
-// drives (see DESIGN.md "Sampled simulation"). The cycle loop itself is
-// untouched — a detailed window runs the exact same step() as a full run,
-// so the 0 allocs/op invariant holds inside windows too.
+// drives (see DESIGN.md "Sampled simulation"). A detailed window runs
+// the same RunWindow loop as a full run (core.go), so the 0 allocs/op
+// invariant holds inside windows too.
 
 // ResetPipeline clears the pipeline and timing bookkeeping only: the
 // instruction buffer, putback list, fetch/stall/recovery state, and the
@@ -60,71 +56,6 @@ func (c *Core) Attach(ck isa.Checkpoint) {
 	c.ResetPipeline()
 }
 
-// RunWindow runs the detailed cycle loop for up to maxCycles more cycles,
-// stopping early if the workload halts and the pipeline drains. The
-// config's MaxCycles budget still bounds the cumulative detailed cycle
-// count as a runaway guard.
-func (c *Core) RunWindow(maxCycles uint64) error {
-	budget := c.Cfg.MaxCycles
-	if budget == 0 {
-		budget = 2_000_000_000
-	}
-	end := c.cycle + maxCycles
-	// Cap skips at the window end and the cycle budget so the loop
-	// re-evaluates both conditions exactly where per-cycle stepping would.
-	c.skipLimit = end
-	if budget < end {
-		c.skipLimit = budget
-	}
-	for !c.done && c.cycle < end {
-		if c.cycle >= budget {
-			c.flushTelemetry()
-			return fmt.Errorf("rocket: cycle budget %d exhausted in sampled window (pc 0x%x)", budget, c.CPU.PC)
-		}
-		if err := c.step(); err != nil {
-			c.flushTelemetry()
-			return err
-		}
-	}
-	c.flushTelemetry()
-	return nil
-}
-
-// RunWindowBounded is RunWindow with an additional exact instruction
-// bound: the window stops once maxInsts instructions have retired, so it
-// can never store past the memory-delta boundary the two-phase sampling
-// plan assigned it. Rocket retires at most one instruction per cycle, so
-// the cycle-loop check is exact. A zero maxInsts means unbounded.
-func (c *Core) RunWindowBounded(maxCycles, maxInsts uint64) error {
-	if maxInsts == 0 {
-		return c.RunWindow(maxCycles)
-	}
-	budget := c.Cfg.MaxCycles
-	if budget == 0 {
-		budget = 2_000_000_000
-	}
-	end := c.cycle + maxCycles
-	instEnd := c.retiredTotal + maxInsts
-	c.skipLimit = end
-	if budget < end {
-		c.skipLimit = budget
-	}
-	// No instruction-bound cap is needed: a skipped stretch retires
-	// nothing, and the loop re-checks retiredTotal after every step.
-	for !c.done && c.cycle < end && c.retiredTotal < instEnd {
-		if c.cycle >= budget {
-			c.flushTelemetry()
-			return fmt.Errorf("rocket: cycle budget %d exhausted in sampled window (pc 0x%x)", budget, c.CPU.PC)
-		}
-		if err := c.step(); err != nil {
-			c.flushTelemetry()
-			return err
-		}
-	}
-	c.flushTelemetry()
-	return nil
-}
-
 // WindowInstBound returns an upper bound on the instructions the core's
 // CPU executes functionally in a detailed window of the given number of
 // cycles, saturating at MaxUint64. Two parts, both read off the cycle
@@ -139,11 +70,7 @@ func (c *Core) RunWindowBounded(maxCycles, maxInsts uint64) error {
 //     and refetches move records between the two without executing
 //     anything: together they never hold more than IBufEntries.
 func (c *Core) WindowInstBound(cycles uint64) uint64 {
-	n, carry := bits.Add64(cycles, uint64(c.Cfg.IBufEntries), 0)
-	if carry != 0 {
-		return math.MaxUint64
-	}
-	return n
+	return satAdd(cycles, uint64(c.Cfg.IBufEntries))
 }
 
 // BeginWindow rebases the core for a schedule-independent detailed

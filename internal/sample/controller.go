@@ -11,18 +11,17 @@ import (
 )
 
 // Core is the detailed-core surface the controller drives. Both
-// rocket.Core and boom.Core satisfy it (see their window.go files); the
-// methods are additive — the cycle loops themselves are untouched.
+// rocket.Core and boom.Core satisfy it (see their window.go files); a
+// window runs on the same loop as a full-detail run.
 type Core interface {
 	// Attach restores the architectural checkpoint and clears the
 	// pipeline, keeping caches/predictors/tallies/cycle counter warm.
 	Attach(ck isa.Checkpoint)
-	// RunWindow runs the detailed loop for up to maxCycles more cycles.
-	RunWindow(maxCycles uint64) error
-	// RunWindowBounded additionally stops the window exactly at maxInsts
-	// retired instructions (0 = unbounded), so a plan-scheduled window
-	// never retires past its memory-delta boundary.
-	RunWindowBounded(maxCycles, maxInsts uint64) error
+	// RunWindow runs the detailed loop for up to maxCycles more cycles,
+	// stopping exactly at maxInsts retired instructions (0 = unbounded),
+	// so a plan-scheduled window never retires past its memory-delta
+	// boundary.
+	RunWindow(maxCycles, maxInsts uint64) error
 	// WindowInstBound bounds the instructions the core's CPU executes
 	// in a window of the given cycles: at most its retire width per
 	// cycle, plus the records fetch can execute ahead of retirement. It
@@ -130,7 +129,7 @@ func Run(t Target, p Policy, o Options) (*Report, error) {
 		startRet := t.CPU.InstRet
 		before = t.Core.CopyTally(before)
 		span := o.Tracer.Begin("window", "sample", o.Tid)
-		err := t.Core.RunWindow(p.Window)
+		err := t.Core.RunWindow(p.Window, 0)
 		wCycles := t.Core.Cycles() - startCycle
 		wInsts := t.Core.Insts() - startInst
 		span.End(obs.Arg{Key: "cycles", Val: wCycles}, obs.Arg{Key: "insts", Val: wInsts})

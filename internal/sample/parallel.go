@@ -127,7 +127,7 @@ func (e *Exec) Window(i int, o *Options) (WindowResult, error) {
 	e.before = e.t.Core.CopyTally(e.before)
 	startCycle, startInst := e.t.Core.Cycles(), e.t.Core.Insts()
 	sp := o.Tracer.Begin("window", "sample", o.Tid)
-	err := e.t.Core.RunWindowBounded(e.window, spec.MaxInsts)
+	err := e.t.Core.RunWindow(e.window, spec.MaxInsts)
 	wCycles := e.t.Core.Cycles() - startCycle
 	wInsts := e.t.Core.Insts() - startInst
 	sp.End(obs.Arg{Key: "cycles", Val: wCycles}, obs.Arg{Key: "insts", Val: wInsts})

@@ -6,8 +6,10 @@ import (
 
 	"icicle/internal/boom"
 	"icicle/internal/kernel"
+	"icicle/internal/obs"
 	"icicle/internal/perf"
 	"icicle/internal/rocket"
+	"icicle/internal/sample"
 )
 
 // TestParallelMatchesSerialRocketGrid runs the Fig. 7(a) Rocket grid once
@@ -89,6 +91,49 @@ func TestParallelMatchesSerialBoomGrid(t *testing.T) {
 		}
 		if !reflect.DeepEqual(res.Boom.LaneTally, serialLanes[i]) {
 			t.Errorf("%s per-lane totals diverge between serial and parallel runs", k.Name)
+		}
+	}
+}
+
+// TestUnpooledMatchesPooled: a runner without the core pool builds every
+// core fresh, on the same executor as the pooled runner, and must return
+// the same results for full-detail, serial-sampled and plan-engine jobs
+// on Rocket and BOOM. It publishes the same core telemetry, too.
+func TestUnpooledMatchesPooled(t *testing.T) {
+	k, err := kernel.ByName("towers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := sample.Policy{Window: 1024, Period: 16384, Warmup: 2048}
+	var jobs []Job
+	for _, j := range []Job{RocketJob(rocket.DefaultConfig(), k), BoomJob(boom.NewConfig(boom.Small), k)} {
+		jobs = append(jobs, j, j.WithSampling(pol), j.WithParallelSampling(pol, 1))
+	}
+	// Warm the process-wide pools first, so the pooled runner below
+	// resets recycled cores.
+	New(WithoutCache(), WithWorkers(2)).Run(jobs)
+	pooled := New(WithoutCache(), WithWorkers(2))
+	fresh := New(WithoutCache(), WithoutCorePool(), WithWorkers(2))
+	want, got := pooled.Run(jobs), fresh.Run(jobs)
+	for i, j := range jobs {
+		if got[i].Err != nil || want[i].Err != nil {
+			t.Fatalf("%s: unpooled err %v, pooled err %v", j.Key(), got[i].Err, want[i].Err)
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s: unpooled result differs from pooled", j.Key())
+		}
+	}
+	if n := fresh.Stats().CoreReuses; n != 0 {
+		t.Errorf("unpooled runner reused %d cores", n)
+	}
+	for _, tel := range []struct {
+		name        string
+		fresh, pool *obs.CoreTelemetry
+	}{{"rocket", fresh.m.rocket, pooled.m.rocket}, {"boom", fresh.m.boom, pooled.m.boom}} {
+		fc, pc := tel.fresh.Cycles.Value(), tel.pool.Cycles.Value()
+		fi, pi := tel.fresh.Insts.Value(), tel.pool.Insts.Value()
+		if fc == 0 || fi == 0 || fc != pc || fi != pi {
+			t.Errorf("%s telemetry: unpooled %d cycles/%d insts, pooled %d/%d", tel.name, fc, fi, pc, pi)
 		}
 	}
 }

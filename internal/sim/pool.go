@@ -47,34 +47,25 @@ var (
 	boomCores   corePools
 )
 
-// executeJob runs one job on the tid's trace track. With pooling enabled
-// (the default) it drives recycled cores through the split
-// perf.Simulate*/Tally* halves so the acquire-core, simulate, and tally
-// stages each get their own span; Reset guarantees the result is
-// byte-identical to a fresh-core run (the determinism and golden-reset
-// tests enforce this), so pooling is invisible outside the allocation
-// profile.
+// executeJob runs one job on the tid's trace track. It drives cores from
+// the job's config pool through the split perf.Simulate*/Tally* halves so
+// the acquire-core, simulate, and tally stages each get their own span;
+// Reset guarantees the result is byte-identical to a fresh-core run (the
+// determinism and golden-reset tests enforce this), so pooling is
+// invisible outside the allocation profile. Without the core pool the
+// job gets a pool of its own, so every core it runs on is built fresh.
 func (r *Runner) executeJob(j Job, tid int) Result {
-	if !r.corePool {
-		workers := 1
-		if j.planEngine() {
-			n, err := r.windowWorkers(j, sample.Options{})
-			if err != nil {
-				return Result{Job: j, Err: err}
-			}
-			defer r.slots.give(n - 1)
-			workers = n
+	pool := func(cp *corePools, key string) *sync.Pool {
+		if !r.corePool {
+			return &sync.Pool{}
 		}
-		sp := r.tracer.Begin("simulate", "sim", tid)
-		res := execute(j, workers)
-		sp.End()
-		return res
+		return cp.get(key)
 	}
 	res := Result{Job: j}
 	switch j.Core {
 	case Boom:
 		res.Boom, res.Sampled, res.Breakdown, res.Err = runPooled(r, j, tid,
-			boomCores.get(fmt.Sprintf("%+v", j.Boom)), coreOps[*boom.Core, boom.Result]{
+			pool(&boomCores, fmt.Sprintf("%+v", j.Boom)), coreOps[*boom.Core, boom.Result]{
 				build: func() (*boom.Core, error) {
 					prog, err := j.Kernel.Program()
 					if err != nil {
@@ -90,7 +81,7 @@ func (r *Runner) executeJob(j Job, tid int) Result {
 			})
 	default:
 		res.Rocket, res.Sampled, res.Breakdown, res.Err = runPooled(r, j, tid,
-			rocketCores.get(fmt.Sprintf("%+v", j.Rocket)), coreOps[*rocket.Core, rocket.Result]{
+			pool(&rocketCores, fmt.Sprintf("%+v", j.Rocket)), coreOps[*rocket.Core, rocket.Result]{
 				build: func() (*rocket.Core, error) {
 					prog, err := j.Kernel.Program()
 					if err != nil {

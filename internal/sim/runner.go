@@ -160,11 +160,10 @@ func WithoutCache() Option {
 	return func(r *Runner) { r.memoize = false }
 }
 
-// WithoutCorePool disables core reuse: every simulated job builds a fresh
-// core instead of resetting a pooled one. Results are identical either
-// way (the determinism tests assert it); the fresh path exists for
-// benchmark ablations and as the oracle the pooled path is checked
-// against.
+// WithoutCorePool disables core reuse: every simulated job builds fresh
+// cores instead of resetting pooled ones, on the same executor. Results
+// are identical either way (TestUnpooledMatchesPooled asserts it); the
+// option exists for benchmark ablations.
 func WithoutCorePool() Option {
 	return func(r *Runner) { r.corePool = false }
 }

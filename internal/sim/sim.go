@@ -7,9 +7,11 @@
 // Two entry points:
 //
 //   - Runner.Run executes batches of Job descriptors (a core kind, its
-//     config, and a kernel) through perf.RunRocket / perf.RunBoom, returning
-//     results in submission order regardless of completion order, with a
-//     config-fingerprint + kernel-name memoization cache on top.
+//     config, a kernel, and a detail mode) on pooled cores through perf's
+//     Simulate*On/Tally*, Sample*On and Sample*ParOn entry points,
+//     returning results in submission order regardless of completion
+//     order, with a config-fingerprint + kernel-name memoization cache on
+//     top.
 //   - Map fans an arbitrary per-item function out over the same worker
 //     discipline, for sweeps that need a custom harness (cycle hooks,
 //     forced PMU widths) and therefore cannot be memoized.
@@ -21,7 +23,6 @@ import (
 	"icicle/internal/boom"
 	"icicle/internal/core"
 	"icicle/internal/kernel"
-	"icicle/internal/perf"
 	"icicle/internal/rocket"
 	"icicle/internal/sample"
 )
@@ -189,25 +190,4 @@ func (r Result) Tally(event string) uint64 {
 		return r.Boom.Tally[event]
 	}
 	return r.Rocket.Tally[event]
-}
-
-// execute runs the simulation described by j (no caching, no pooling),
-// a plan-engine job on the given number of window workers.
-func execute(j Job, workers int) Result {
-	res := Result{Job: j}
-	switch {
-	case j.Core == Boom && j.planEngine():
-		res.Boom, res.Sampled, res.Breakdown, res.Err = perf.SampleBoomPar(j.Boom, j.Kernel, j.Sample, sample.Options{}, workers)
-	case j.Core == Boom && j.Sample.Enabled():
-		res.Boom, res.Sampled, res.Breakdown, res.Err = perf.SampleBoom(j.Boom, j.Kernel, j.Sample)
-	case j.Core == Boom:
-		res.Boom, res.Breakdown, res.Err = perf.RunBoom(j.Boom, j.Kernel)
-	case j.planEngine():
-		res.Rocket, res.Sampled, res.Breakdown, res.Err = perf.SampleRocketPar(j.Rocket, j.Kernel, j.Sample, sample.Options{}, workers)
-	case j.Sample.Enabled():
-		res.Rocket, res.Sampled, res.Breakdown, res.Err = perf.SampleRocket(j.Rocket, j.Kernel, j.Sample)
-	default:
-		res.Rocket, res.Breakdown, res.Err = perf.RunRocket(j.Rocket, j.Kernel)
-	}
-	return res
 }

@@ -191,19 +191,8 @@ func TestSampleParRunnerFanOut(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var j sim.Job
-			var want sim.Result
-			if row.core == "rocket" {
-				j = sim.RocketJob(rocket.DefaultConfig(), k)
-				want.Rocket, want.Sampled, want.Breakdown, err = perf.SampleRocketPar(rocket.DefaultConfig(), k, row.policy, sample.Options{}, 1)
-			} else {
-				j = sim.BoomJob(boom.NewConfig(row.boom), k)
-				want.Boom, want.Sampled, want.Breakdown, err = perf.SampleBoomPar(boom.NewConfig(row.boom), k, row.policy, sample.Options{}, 1)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			j = j.WithParallelSampling(row.policy, 1)
+			j := row.job(k, row.policy)
+			want := row.par(t, k, row.policy, 1)
 			want.Job = j
 
 			r := sim.New(sim.WithWorkers(4), sim.WithoutCache())
@@ -328,21 +317,36 @@ func (row parGoldenRow) job(k *kernel.Kernel, p sample.Policy) sim.Job {
 	return sim.BoomJob(boom.NewConfig(row.boom), k).WithParallelSampling(p, 1)
 }
 
-// report runs the row's core under p on the plan engine with workers
-// fresh cores and no window memo.
-func (row parGoldenRow) report(t *testing.T, k *kernel.Kernel, p sample.Policy, workers int) *sample.Report {
+// par runs the row's core under p on the plan engine with workers fresh
+// cores and no window memo; one worker is the serial reference.
+func (row parGoldenRow) par(t *testing.T, k *kernel.Kernel, p sample.Policy, workers int) sim.Result {
 	t.Helper()
-	var rep *sample.Report
+	prog := mustProgram(t, k)
+	var res sim.Result
 	var err error
 	if row.core == "rocket" {
-		_, rep, _, err = perf.SampleRocketPar(rocket.DefaultConfig(), k, p, sample.Options{}, workers)
+		cs := make([]*rocket.Core, workers)
+		for i := range cs {
+			cs[i] = rocket.New(rocket.DefaultConfig(), prog)
+		}
+		res.Rocket, res.Sampled, res.Breakdown, err = perf.SampleRocketParOn(cs, k, p, sample.Options{}, nil)
 	} else {
-		_, rep, _, err = perf.SampleBoomPar(boom.NewConfig(row.boom), k, p, sample.Options{}, workers)
+		cs := make([]*boom.Core, workers)
+		for i := range cs {
+			cs[i] = boom.MustNew(boom.NewConfig(row.boom), prog)
+		}
+		res.Boom, res.Sampled, res.Breakdown, err = perf.SampleBoomParOn(cs, k, p, sample.Options{}, nil)
 	}
 	if err != nil {
 		t.Fatalf("%d workers: %v", workers, err)
 	}
-	return rep
+	return res
+}
+
+// report is the row's plan-engine report under p on workers fresh cores.
+func (row parGoldenRow) report(t *testing.T, k *kernel.Kernel, p sample.Policy, workers int) *sample.Report {
+	t.Helper()
+	return row.par(t, k, p, workers).Sampled
 }
 
 // target is a fresh core of the row's config running k, as a plan target.
