@@ -39,7 +39,8 @@ obs-smoke:
 # Sampled-simulation smoke: a sampled run per core at the default
 # policy, checking report invariants, determinism, and loose agreement
 # with full detail (see sample_smoke_test.go; tight accuracy bounds are
-# in internal/check, the speedup claim in BenchmarkSampledVsFull).
+# the sampled-* paper claims and internal/check, the speedup claim
+# BenchmarkSampledVsFull).
 sample-smoke:
 	$(GO) test -run=SampleSmoke -count=1 .
 

@@ -1,7 +1,8 @@
-// The benchmark harness: one benchmark per table and figure of the
-// paper's evaluation section (§V). Each benchmark regenerates its
-// artifact, asserts the paper's qualitative claims (who wins, direction of
-// effects, bounds), and reports the headline numbers as benchmark metrics.
+// The speed benchmarks: simulator throughput, the allocation-free cycle
+// loops, the job runner's scaling, the functional engines, and the
+// wall-time claims of sampled simulation. The paper's claims on every
+// table and figure are asserted by TestPaperClaims in
+// internal/experiments; perfbench times each artifact end to end.
 //
 // Run everything with:
 //
@@ -10,403 +11,20 @@ package icicle_test
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"testing"
 	"time"
 
 	"icicle/internal/boom"
-	"icicle/internal/core"
 	"icicle/internal/experiments"
 	"icicle/internal/isa"
 	"icicle/internal/kernel"
 	"icicle/internal/mem"
 	"icicle/internal/perf"
-	"icicle/internal/pmu"
 	"icicle/internal/rocket"
 	"icicle/internal/sample"
 	"icicle/internal/sim"
 )
-
-// BenchmarkFig3FrontendTrace reproduces the motivating example (Fig. 3):
-// most of mergesort's Frontend stalls on Rocket are not I$-related.
-func BenchmarkFig3FrontendTrace(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig3FrontendTrace()
-		if err != nil {
-			b.Fatal(err)
-		}
-		total := r.Totals[rocket.EvFetchBubbles]
-		if total == 0 {
-			b.Fatal("no fetch bubbles observed")
-		}
-		if r.BubblesNotICB*2 < total {
-			b.Fatalf("only %d/%d bubbles outside I$-blocked windows; the §III claim needs a majority",
-				r.BubblesNotICB, total)
-		}
-		b.ReportMetric(float64(r.BubblesNotICB)/float64(total)*100, "%bubbles-not-icache")
-	}
-}
-
-// BenchmarkFig7RocketTMA regenerates Fig. 7(a,b): Rocket microbenchmark
-// TMA. Asserted claims: qsort's lost slots are Bad-Speculation-dominated,
-// rsort is near-ideal, memcpy has the most Backend stalls with a large
-// Memory-Bound share.
-func BenchmarkFig7RocketTMA(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		g, err := experiments.Fig7aRocketMicro()
-		if err != nil {
-			b.Fatal(err)
-		}
-		qsort, _ := g.Find("qsort")
-		rsort, _ := g.Find("rsort")
-		memcpyRow, _ := g.Find("memcpy")
-		lost := 1 - qsort.B.Retiring
-		if lost > 0 && qsort.B.BadSpec < 0.4*lost {
-			b.Fatalf("qsort lost slots not dominated by bad speculation: %.3f of %.3f",
-				qsort.B.BadSpec, lost)
-		}
-		if rsort.B.IPC < 0.8 {
-			b.Fatalf("rsort IPC %.2f, want near-ideal", rsort.B.IPC)
-		}
-		for _, r := range g.Rows {
-			// spmv is not in the paper's suite; its gathers legitimately
-			// out-stall memcpy.
-			if r.Name != "memcpy" && r.Name != "spmv" && r.B.Backend > memcpyRow.B.Backend {
-				b.Fatalf("%s backend %.3f exceeds memcpy's %.3f", r.Name, r.B.Backend, memcpyRow.B.Backend)
-			}
-		}
-		if memcpyRow.B.MemBound < 0.3*memcpyRow.B.Backend {
-			b.Fatalf("memcpy memory-bound share too small: %.3f of %.3f",
-				memcpyRow.B.MemBound, memcpyRow.B.Backend)
-		}
-		b.ReportMetric(qsort.B.BadSpec*100, "qsort-badspec%")
-		b.ReportMetric(rsort.B.IPC, "rsort-ipc")
-		b.ReportMetric(memcpyRow.B.Backend*100, "memcpy-backend%")
-	}
-}
-
-// BenchmarkFig7cCacheStudy regenerates Rocket CS1: halving the L1D slows
-// deepsjeng and moves slots into Backend Bound.
-func BenchmarkFig7cCacheStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cs, err := experiments.Fig7cCacheStudy()
-		if err != nil {
-			b.Fatal(err)
-		}
-		slowdown := 1/cs.Speedup() - 1
-		if slowdown <= 0 {
-			b.Fatalf("16 KiB L1D not slower (%.2f%%)", slowdown*100)
-		}
-		dBackend := cs.Variant.B.Backend - cs.Base.B.Backend
-		if dBackend <= 0 {
-			b.Fatalf("backend did not rise: %+.3f", dBackend)
-		}
-		b.ReportMetric(slowdown*100, "slowdown%")
-		b.ReportMetric(dBackend*100, "backend-delta-pp")
-	}
-}
-
-// BenchmarkFig7dBranchInversion regenerates Rocket CS2: Retiring rises and
-// Bad Speculation collapses when the always-taken chain is inverted.
-func BenchmarkFig7dBranchInversion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cs, err := experiments.Fig7dBranchInversion()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if cs.Variant.B.Retiring <= cs.Base.B.Retiring {
-			b.Fatal("inverted chain did not raise retiring on Rocket")
-		}
-		if cs.Variant.B.BadSpec >= cs.Base.B.BadSpec {
-			b.Fatal("inverted chain did not lower bad speculation on Rocket")
-		}
-		b.ReportMetric(cs.Base.B.BadSpec*100, "brmiss-badspec%")
-		b.ReportMetric(cs.Variant.B.BadSpec*100, "inv-badspec%")
-	}
-}
-
-// BenchmarkFig7efCoreMarkSched regenerates Rocket CS3: the scheduled build
-// wins a few percent, all of it out of Core Bound.
-func BenchmarkFig7efCoreMarkSched(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cs, err := experiments.Fig7efCoreMarkSched()
-		if err != nil {
-			b.Fatal(err)
-		}
-		speedup := cs.Speedup() - 1
-		if speedup < 0.01 || speedup > 0.10 {
-			b.Fatalf("scheduling speedup %.2f%% outside the paper's ~4%% regime", speedup*100)
-		}
-		if cs.Variant.B.CoreBound >= cs.Base.B.CoreBound {
-			b.Fatal("scheduling did not reduce core bound")
-		}
-		b.ReportMetric(speedup*100, "speedup%")
-	}
-}
-
-// BenchmarkFig7BoomSPEC regenerates Fig. 7(g-j): x264 retires most with
-// the top Bad Speculation; mcf and xalancbmk are ≈80% Backend Bound and
-// memory dominated.
-func BenchmarkFig7BoomSPEC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		g, err := experiments.Fig7gBoomSPEC()
-		if err != nil {
-			b.Fatal(err)
-		}
-		x264, _ := g.Find("525.x264_r")
-		mcf, _ := g.Find("505.mcf_r")
-		xal, _ := g.Find("523.xalancbmk_r")
-		for _, r := range g.Rows {
-			if r.Name != "525.x264_r" && r.B.Retiring > x264.B.Retiring {
-				b.Fatalf("%s out-retires x264 (%.3f > %.3f)", r.Name, r.B.Retiring, x264.B.Retiring)
-			}
-			if r.Name != "525.x264_r" && r.B.BadSpec > x264.B.BadSpec {
-				b.Fatalf("%s has more bad speculation than x264", r.Name)
-			}
-			if r.B.Frontend > 0.15 {
-				b.Fatalf("%s frontend %.3f; the paper reports minimal frontend", r.Name, r.B.Frontend)
-			}
-		}
-		for _, r := range []experiments.Row{mcf, xal} {
-			if r.B.Backend < 0.7 {
-				b.Fatalf("%s backend %.3f, want ≈0.8", r.Name, r.B.Backend)
-			}
-			if r.B.MemBound < r.B.CoreBound {
-				b.Fatalf("%s not memory dominated", r.Name)
-			}
-		}
-		b.ReportMetric(x264.B.Retiring*100, "x264-retiring%")
-		b.ReportMetric(mcf.B.Backend*100, "mcf-backend%")
-	}
-}
-
-// BenchmarkFig7klBoomMicro regenerates Fig. 7(k,l): BOOM microbenchmarks;
-// Dhrystone and CoreMark reach the high-IPC regime, memcpy is the memory
-// outlier.
-func BenchmarkFig7klBoomMicro(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		g, err := experiments.Fig7kBoomMicro()
-		if err != nil {
-			b.Fatal(err)
-		}
-		dhry, _ := g.Find("dhrystone")
-		cm, _ := g.Find("coremark")
-		mc, _ := g.Find("memcpy")
-		if dhry.B.IPC < 1.2 || cm.B.IPC < 1.0 {
-			b.Fatalf("dhrystone/coremark IPC too low: %.2f / %.2f", dhry.B.IPC, cm.B.IPC)
-		}
-		for _, r := range g.Rows {
-			// vvadd streams the same footprint and may tie memcpy; spmv's
-			// gathers are beyond the paper's suite.
-			if r.Name != "memcpy" && r.Name != "vvadd" && r.Name != "spmv" &&
-				r.B.MemBound > mc.B.MemBound {
-				b.Fatalf("%s more memory bound than memcpy", r.Name)
-			}
-		}
-		b.ReportMetric(dhry.B.IPC, "dhrystone-ipc")
-		b.ReportMetric(mc.B.MemBound*100, "memcpy-membound%")
-	}
-}
-
-// BenchmarkFig7mBoomCoreMark regenerates Fig. 7(m): on the OoO core the
-// scheduling pass is worth well under 1%.
-func BenchmarkFig7mBoomCoreMark(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cs, err := experiments.Fig7mBoomCoreMarkSched()
-		if err != nil {
-			b.Fatal(err)
-		}
-		speedup := cs.Speedup() - 1
-		if speedup < -0.01 || speedup > 0.02 {
-			b.Fatalf("BOOM scheduling speedup %.2f%% outside the ≈0.3%% regime", speedup*100)
-		}
-		b.ReportMetric(speedup*100, "speedup%")
-	}
-}
-
-// BenchmarkFig7nBoomBranchInv regenerates Fig. 7(n): on BOOM the base
-// chain has no mispredicts (0% Bad Speculation) and the inverted build is
-// slower, explained by Bad Speculation — the opposite of Rocket.
-func BenchmarkFig7nBoomBranchInv(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cs, err := experiments.Fig7nBoomBranchInversion()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if cs.Base.B.BadSpec > 0.01 {
-			b.Fatalf("brmiss bad speculation %.3f on BOOM, want ≈0", cs.Base.B.BadSpec)
-		}
-		if cs.Speedup() >= 1 {
-			b.Fatal("inverted build not slower on BOOM")
-		}
-		if cs.Variant.B.BadSpec < 0.1 {
-			b.Fatal("slowdown not explained by bad speculation")
-		}
-		b.ReportMetric((1/cs.Speedup()-1)*100, "inv-slowdown%")
-	}
-}
-
-// BenchmarkTable5PerLane regenerates Table V: per-lane rates are
-// correlated and ordered; issue lanes are asymmetric.
-func BenchmarkTable5PerLane(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Table5PerLane()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range t.Rows {
-			fb := r.FetchBubble
-			if fb[0] > fb[1]+1e-9 || fb[1] > fb[2]+1e-9 {
-				b.Fatalf("%s: fetch-bubble lanes not increasing: %v", r.Name, fb)
-			}
-			if r.UopsIssued[0] < r.UopsIssued[1] {
-				b.Fatalf("%s: issue lane 0 below lane 1", r.Name)
-			}
-			if r.Name == "548.exchange2_r" {
-				for _, v := range r.DBlocked {
-					if v > 0.005 {
-						b.Fatalf("exchange2 d$-blocked %v nonzero", r.DBlocked)
-					}
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkTable6Overlap regenerates Table VI: the Frontend/Bad-Spec
-// overlap upper bound is a tiny fraction of all slots.
-func BenchmarkTable6Overlap(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Table6Overlap(50)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if t.Cycles < 500_000 {
-			b.Fatalf("trace sample too small: %d cycles (§V-B samples 1.5M)", t.Cycles)
-		}
-		if t.OverlapFrac > 0.001 {
-			b.Fatalf("overlap %.4f%% of slots, want ≲0.01%%-scale", t.OverlapFrac*100)
-		}
-		b.ReportMetric(t.OverlapFrac*100, "overlap%")
-		b.ReportMetric(t.FrontendPerturbation*100, "frontend-perturbation%")
-	}
-}
-
-// BenchmarkFig8RecoveryCDF regenerates Fig. 8(b): recovery sequences are
-// overwhelmingly exactly RedirectLatency cycles, with a long fence-driven
-// tail.
-func BenchmarkFig8RecoveryCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8RecoveryCDF()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Mode != 4 {
-			b.Fatalf("recovery mode %d, want 4", r.Mode)
-		}
-		if r.FracAtMode < 0.9 {
-			b.Fatalf("only %.1f%% of sequences at the mode", r.FracAtMode*100)
-		}
-		if r.Max < 3*r.Mode {
-			b.Fatalf("no long tail: max %d", r.Max)
-		}
-		b.ReportMetric(float64(r.Mode), "mode-cycles")
-		b.ReportMetric(float64(r.Max), "max-cycles")
-	}
-}
-
-// BenchmarkFig9aPower regenerates Fig. 9(a): every configuration stays
-// within the paper's overhead bounds.
-func BenchmarkFig9aPower(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig9Physical(true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var maxPower, maxArea, maxWire float64
-		for _, rep := range r.Reports {
-			if rep.PowerPct > maxPower {
-				maxPower = rep.PowerPct
-			}
-			if rep.AreaPct > maxArea {
-				maxArea = rep.AreaPct
-			}
-			if rep.WirelenPct > maxWire {
-				maxWire = rep.WirelenPct
-			}
-		}
-		if maxPower > 4.4 || maxArea > 1.7 || maxWire > 10.5 {
-			b.Fatalf("overheads exceed the paper's bounds: power %.2f area %.2f wire %.2f",
-				maxPower, maxArea, maxWire)
-		}
-		b.ReportMetric(maxPower, "max-power%")
-		b.ReportMetric(maxArea, "max-area%")
-		b.ReportMetric(maxWire, "max-wire%")
-	}
-}
-
-// BenchmarkFig9bCSRPath regenerates Fig. 9(b): the adders implementation
-// wins at small sizes; distributed counters scale better.
-func BenchmarkFig9bCSRPath(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig9Physical(false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		small := r.DelayNorm["SmallBOOM"]
-		giga := r.DelayNorm["GigaBOOM"]
-		if small["add-wires"] >= small["distributed"] {
-			b.Fatal("adders should win at SmallBOOM")
-		}
-		if giga["distributed"] >= giga["add-wires"] {
-			b.Fatal("distributed should win at GigaBOOM")
-		}
-		b.ReportMetric(giga["add-wires"], "giga-adders-norm")
-		b.ReportMetric(giga["distributed"], "giga-distributed-norm")
-	}
-}
-
-// BenchmarkUndercountBound regenerates the §IV-B undercount analysis: the
-// distributed counters' loss is bounded by sources × 2^width (≈1.3% on
-// the smallest benchmark, as in the paper).
-func BenchmarkUndercountBound(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		u, err := experiments.UndercountBound("rsort")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if u.Exact-u.Read > u.Bound {
-			b.Fatalf("undercount %d exceeds bound %d", u.Exact-u.Read, u.Bound)
-		}
-		worst := 100 * float64(u.Bound) / float64(u.Exact+u.Bound)
-		if worst > 3 {
-			b.Fatalf("worst-case error %.2f%%, paper reports ≈1.28%%", worst)
-		}
-		b.ReportMetric(worst, "worstcase-err%")
-	}
-}
-
-// BenchmarkCounterArchEquivalence regenerates the artifact's AddWires vs
-// DistributedCounters comparison (§F): the two agree to within the
-// residue; scalar undercounts wide events badly.
-func BenchmarkCounterArchEquivalence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		c, err := experiments.CounterArchComparison("coremark", boom.EvUopsIssued)
-		if err != nil {
-			b.Fatal(err)
-		}
-		aw := c.Read[pmu.AddWires]
-		di := c.Exact[pmu.Distributed]
-		if aw != di {
-			b.Fatalf("add-wires %d != distributed+residue %d", aw, di)
-		}
-		if c.Read[pmu.Scalar] >= aw {
-			b.Fatal("scalar did not undercount a multi-lane event")
-		}
-		b.ReportMetric(float64(aw-c.Read[pmu.Distributed]), "distributed-loss")
-	}
-}
 
 // BenchmarkRocketSimSpeed measures raw simulator throughput (cycles/s) —
 // the practical cost of the out-of-band methodology.
@@ -513,10 +131,6 @@ func BenchmarkBoomCycleLoop(b *testing.B) {
 // BenchmarkTraceBridgeThroughput measures the tracing bridge's encode
 // path, the analogue of the TracerV PCIe bottleneck discussion (§IV-C).
 func BenchmarkTraceBridgeThroughput(b *testing.B) {
-	k, err := kernel.ByName("vvadd")
-	if err != nil {
-		b.Fatal(err)
-	}
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Fig3FrontendTrace()
 		if err != nil {
@@ -525,57 +139,6 @@ func BenchmarkTraceBridgeThroughput(b *testing.B) {
 		if r.Cycles == 0 {
 			b.Fatal("empty trace")
 		}
-	}
-	_ = io.Discard
-	_ = k
-}
-
-// BenchmarkWidthSweepAblation regenerates the distributed local-counter
-// width sweep: undersized widths lose events, the automatic width loses
-// none, and the read-time error at the automatic width is tiny.
-func BenchmarkWidthSweepAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.WidthSweep("coremark", boom.EvUopsIssued)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var auto experiments.WidthPoint
-		for _, p := range r.Points {
-			if p.Width < r.AutoWidth && p.Lost == 0 {
-				b.Fatalf("width %d below auto %d lost nothing (saturation not modeled?)",
-					p.Width, r.AutoWidth)
-			}
-			if p.Width >= r.AutoWidth && p.Lost != 0 {
-				b.Fatalf("width %d lost %d events", p.Width, p.Lost)
-			}
-			if p.Width == r.AutoWidth {
-				auto = p
-			}
-		}
-		errFrac := float64(r.Exact-auto.Read) / float64(r.Exact)
-		if errFrac > 0.001 {
-			b.Fatalf("auto-width read error %.4f%%", errFrac*100)
-		}
-		b.ReportMetric(errFrac*100, "auto-width-err%")
-	}
-}
-
-// BenchmarkRASAblation regenerates the return-address-stack study: the
-// RAS recovers the PC-resteer slots the default frontend charges to the
-// Frontend class.
-func BenchmarkRASAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RASAblation("towers")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.RASCycles >= r.BaseCycles {
-			b.Fatal("RAS not faster on towers")
-		}
-		if r.RASPCResteer >= r.BasePCResteer {
-			b.Fatal("RAS did not cut PC resteers")
-		}
-		b.ReportMetric((float64(r.BaseCycles)/float64(r.RASCycles)-1)*100, "ras-speedup%")
 	}
 }
 
@@ -597,31 +160,14 @@ func minWall(b *testing.B, n int, f func() error) time.Duration {
 	return best
 }
 
-// maxTopLevelDelta returns the worst absolute top-level category-share
-// difference between two breakdowns.
-func maxTopLevelDelta(a, bd core.Breakdown) float64 {
-	worst := 0.0
-	for _, d := range []float64{
-		a.Retiring - bd.Retiring, a.BadSpec - bd.BadSpec,
-		a.Frontend - bd.Frontend, a.Backend - bd.Backend,
-	} {
-		if d < 0 {
-			d = -d
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
-// BenchmarkSampledVsFull regenerates the sampled-simulation headline
-// claim: on a long-running kernel at the default policy, the sampled run
-// is >= 5x faster than full detail with every top-level TMA category
-// within 2 percentage points, on both core models. The sub-benchmarks
-// report the steady-state per-run costs; the parent asserts the paired
-// claim on min-of-3 wall times (both runs reuse one warmed core, so the
-// ratio isolates the sampling machinery).
+// BenchmarkSampledVsFull times the sampled-simulation headline claim:
+// on a long-running kernel at the default policy, the sampled run is >= 5x
+// faster than full detail on both core models. (Its accuracy half, every
+// top-level TMA category within 2 pp, is the sampled-* claims of the
+// registry that TestPaperClaims asserts.) The sub-benchmarks report the
+// steady-state per-run costs; the parent asserts the paired claim on
+// min-of-3 wall times (both runs reuse one warmed core, so the ratio
+// isolates the sampling machinery).
 func BenchmarkSampledVsFull(b *testing.B) {
 	k, err := kernel.ByName("towers")
 	if err != nil {
@@ -640,49 +186,21 @@ func BenchmarkSampledVsFull(b *testing.B) {
 	}
 
 	type target struct {
-		name    string
-		full    func() (core.Breakdown, error)
-		sampled func() (*sample.Report, core.Breakdown, error)
+		name          string
+		full, sampled func() error
 	}
 	targets := []target{
 		{"rocket",
-			func() (core.Breakdown, error) {
-				_, bd, err := perf.RunRocketOn(rc, k)
-				return bd, err
-			},
-			func() (*sample.Report, core.Breakdown, error) {
-				_, rep, bd, err := perf.SampleRocketOn(rc, k, p, sample.Options{})
-				return rep, bd, err
-			}},
+			func() error { _, _, err := perf.RunRocketOn(rc, k); return err },
+			func() error { _, _, _, err := perf.SampleRocketOn(rc, k, p, sample.Options{}); return err }},
 		{"LargeBOOM",
-			func() (core.Breakdown, error) {
-				_, bd, err := perf.RunBoomOn(bc, k)
-				return bd, err
-			},
-			func() (*sample.Report, core.Breakdown, error) {
-				_, rep, bd, err := perf.SampleBoomOn(bc, k, p, sample.Options{})
-				return rep, bd, err
-			}},
+			func() error { _, _, err := perf.RunBoomOn(bc, k); return err },
+			func() error { _, _, _, err := perf.SampleBoomOn(bc, k, p, sample.Options{}); return err }},
 	}
 	for _, tg := range targets {
 		tg := tg
-		fb, err := tg.full()
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, sb, err := tg.sampled()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Exact {
-			b.Fatalf("%s: towers degenerated to full detail under %s", tg.name, p)
-		}
-		maxCat := maxTopLevelDelta(sb, fb)
-		if maxCat > 0.02 {
-			b.Fatalf("%s: sampled TMA off by %.2fpp (limit 2pp)", tg.name, 100*maxCat)
-		}
-		fullT := minWall(b, 3, func() error { _, err := tg.full(); return err })
-		sampT := minWall(b, 3, func() error { _, _, err := tg.sampled(); return err })
+		fullT := minWall(b, 3, tg.full)
+		sampT := minWall(b, 3, tg.sampled)
 		speedup := float64(fullT) / float64(sampT)
 		if speedup < 5 {
 			b.Fatalf("%s: sampled only %.2fx faster (%v vs %v), claim needs >= 5x",
@@ -690,20 +208,18 @@ func BenchmarkSampledVsFull(b *testing.B) {
 		}
 		b.Run(tg.name+"/full", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := tg.full(); err != nil {
+				if err := tg.full(); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(tg.name+"/sampled", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := tg.sampled(); err != nil {
+				if err := tg.sampled(); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(speedup, "speedup-x")
-			b.ReportMetric(100*maxCat, "max-category-err-pp")
-			b.ReportMetric(100*rep.Coverage, "coverage%")
 		})
 	}
 }

@@ -6,10 +6,12 @@
 //
 //	icicle-bench                # everything
 //	icicle-bench -only fig7a,table5
+//	icicle-bench -only claims   # the EXPERIMENTS.md claim tables
 //	icicle-bench -j 8 -v        # 8 simulation workers, print runner stats
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,7 +48,7 @@ func main() {
 // run holds the whole program so the profiling and telemetry defers fire
 // on every exit path (os.Exit would skip them).
 func run() (err error) {
-	only := flag.String("only", "", "comma-separated artifact list (fig3,fig7a,fig7c,fig7d,fig7ef,fig7g,fig7k,fig7m,fig7n,table5,table6,fig8,fig9,undercount,archcmp,widthsweep,ras,sampled,sampledpar)")
+	only := flag.String("only", "", "comma-separated artifact list (fig3,fig7a,fig7c,fig7d,fig7ef,fig7g,fig7k,fig7m,fig7n,table5,table6,fig8,fig9,undercount,archcmp,widthsweep,ras,sampled,sampledpar,claims)")
 	outDir := flag.String("out", "", "also write each artifact to <dir>/<name>.txt (the artifact's iiswc-2025-ae-out equivalent)")
 	jobs := flag.Int("j", 0, "simulation worker goroutines (0 = GOMAXPROCS); alias -parallel")
 	flag.IntVar(jobs, "parallel", 0, "alias for -j")
@@ -303,6 +305,15 @@ func run() (err error) {
 				return fmt.Errorf("parallel sampled report differs from serial reference")
 			}
 			return nil
+		}},
+		{"claims", "paper-claim registry: the EXPERIMENTS.md claim tables", func() error {
+			outs := experiments.RunClaims(experiments.Claims)
+			experiments.FprintClaims(w, outs)
+			var errs []error
+			for _, o := range outs {
+				errs = append(errs, o.Check())
+			}
+			return errors.Join(errs...)
 		}},
 	}
 

@@ -23,8 +23,9 @@
 //     kernels, SPEC CPU2017 intrate proxies)
 //   - internal/experiments: regeneration of every evaluation table/figure
 //
-// The benchmarks in bench_test.go regenerate each paper artifact; the
-// cmd/ tools expose the same functionality as CLIs. See DESIGN.md for the
-// substitution map (paper infrastructure → this repository) and
+// TestPaperClaims (internal/experiments) asserts every paper claim from
+// one claim registry; cmd/icicle-bench regenerates each artifact, and the
+// other cmd/ tools expose the same functionality as CLIs. See DESIGN.md
+// for the substitution map (paper infrastructure → this repository) and
 // EXPERIMENTS.md for paper-vs-measured results.
 package icicle

@@ -31,26 +31,12 @@ type SampledDiff struct {
 	Sampled core.Breakdown
 	Report  *sample.Report
 
-	// Err holds the absolute error in the four top-level category shares
-	// (sampled − full): Retiring, BadSpec, Frontend, Backend.
-	Err [4]float64
 	// CycleErr is the relative cycle-count error |est−full|/full.
 	CycleErr float64
 }
 
-// CategoryNames labels SampledDiff.Err.
-var CategoryNames = [4]string{"Retiring", "BadSpec", "Frontend", "Backend"}
-
 // MaxTopLevelErr returns the worst absolute top-level share error.
-func (d SampledDiff) MaxTopLevelErr() float64 {
-	worst := 0.0
-	for _, e := range d.Err {
-		if a := math.Abs(e); a > worst {
-			worst = a
-		}
-	}
-	return worst
-}
+func (d SampledDiff) MaxTopLevelErr() float64 { return d.Sampled.MaxTopLevelDiff(d.Full) }
 
 // Check validates the invariants every sampled run must satisfy
 // regardless of accuracy: exact architectural instruction and exit
@@ -85,12 +71,6 @@ func diffFrom(coreName, kernelName string, p sample.Policy,
 		FullInsts: fullInsts, Insts: rep.TotalInsts,
 		FullExit: fullExit, Exit: rep.Exit,
 		Full: full, Sampled: rep.Breakdown, Report: rep,
-	}
-	d.Err = [4]float64{
-		rep.Breakdown.Retiring - full.Retiring,
-		rep.Breakdown.BadSpec - full.BadSpec,
-		rep.Breakdown.Frontend - full.Frontend,
-		rep.Breakdown.Backend - full.Backend,
 	}
 	if fullCycles > 0 {
 		d.CycleErr = math.Abs(float64(rep.EstCycles)-float64(fullCycles)) / float64(fullCycles)

@@ -78,8 +78,7 @@ func TestSampledAccuracyStrategies(t *testing.T) {
 // TestSampledAccuracyDefaultPolicy is the headline acceptance check: on a
 // long-running suite kernel at the default sampling parameters, every
 // top-level TMA category share from the sampled run is within 2
-// percentage points of the full-detail run, on both core models. The
-// matching wall-clock claim lives in BenchmarkSampledVsFull.
+// percentage points of the full-detail run, on both core models.
 func TestSampledAccuracyDefaultPolicy(t *testing.T) {
 	k, err := kernel.ByName("towers")
 	if err != nil {
@@ -87,34 +86,35 @@ func TestSampledAccuracyDefaultPolicy(t *testing.T) {
 	}
 	p := sample.Default()
 
+	assert := func(name string, d SampledDiff) {
+		t.Logf("%s: %s", name, d)
+		errs := [4]float64{
+			d.Sampled.Retiring - d.Full.Retiring,
+			d.Sampled.BadSpec - d.Full.BadSpec,
+			d.Sampled.Frontend - d.Full.Frontend,
+			d.Sampled.Backend - d.Full.Backend,
+		}
+		for i, e := range errs {
+			if e > 0.02 || e < -0.02 {
+				t.Errorf("%s %s share off by %.2fpp (limit 2pp)",
+					name, [4]string{"Retiring", "BadSpec", "Frontend", "Backend"}[i], 100*e)
+			}
+		}
+		if d.CycleErr > 0.05 {
+			t.Errorf("%s cycle estimate off by %.2f%%", name, 100*d.CycleErr)
+		}
+	}
+
 	dr, err := CompareSampledRocket(rocket.DefaultConfig(), k, p)
 	if err != nil {
 		t.Fatalf("rocket: %v", err)
 	}
-	t.Logf("rocket: %s", dr)
-	for i, e := range dr.Err {
-		if e > 0.02 || e < -0.02 {
-			t.Errorf("rocket %s share off by %.2fpp (limit 2pp)",
-				CategoryNames[i], 100*e)
-		}
-	}
-	if dr.CycleErr > 0.05 {
-		t.Errorf("rocket cycle estimate off by %.2f%%", 100*dr.CycleErr)
-	}
+	assert("rocket", dr)
 
 	large := boom.NewConfig(boom.Large)
 	db, err := CompareSampledBoom(large, k, p)
 	if err != nil {
 		t.Fatalf("%s: %v", large.Name, err)
 	}
-	t.Logf("%s: %s", large.Name, db)
-	for i, e := range db.Err {
-		if e > 0.02 || e < -0.02 {
-			t.Errorf("%s %s share off by %.2fpp (limit 2pp)",
-				large.Name, CategoryNames[i], 100*e)
-		}
-	}
-	if db.CycleErr > 0.05 {
-		t.Errorf("%s cycle estimate off by %.2f%%", large.Name, 100*db.CycleErr)
-	}
+	assert(large.Name, db)
 }

@@ -209,6 +209,13 @@ func (b Breakdown) TopLevelSum() float64 {
 	return b.Retiring + b.BadSpec + b.Frontend + b.Backend
 }
 
+// MaxTopLevelDiff returns the worst absolute difference between b's and
+// o's top-level shares (Retiring, Bad Speculation, Frontend, Backend).
+func (b Breakdown) MaxTopLevelDiff(o Breakdown) float64 {
+	return max(math.Abs(b.Retiring-o.Retiring), math.Abs(b.BadSpec-o.BadSpec),
+		math.Abs(b.Frontend-o.Frontend), math.Abs(b.Backend-o.Backend))
+}
+
 // Dominant returns the name of the largest top-level class.
 func (b Breakdown) Dominant() string {
 	name, best := "retiring", b.Retiring

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// The heavy experiments are exercised end-to-end by bench_test.go; these
-// tests cover the cheap paths, the renderers, and the result plumbing.
+// The paper's claims on every artifact are asserted by TestPaperClaims;
+// these tests cover the renderers and the result plumbing.
 
 func TestCaseStudySpeedupAndRender(t *testing.T) {
 	cs, err := Fig7dBranchInversion()

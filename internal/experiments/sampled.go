@@ -43,23 +43,7 @@ func (r SampledRow) CycleErr() float64 {
 }
 
 // MaxCategoryErr returns the worst absolute top-level share difference.
-func (r SampledRow) MaxCategoryErr() float64 {
-	worst := 0.0
-	for _, d := range []float64{
-		r.Sampled.Retiring - r.Full.Retiring,
-		r.Sampled.BadSpec - r.Full.BadSpec,
-		r.Sampled.Frontend - r.Full.Frontend,
-		r.Sampled.Backend - r.Full.Backend,
-	} {
-		if d < 0 {
-			d = -d
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
+func (r SampledRow) MaxCategoryErr() float64 { return r.Sampled.MaxTopLevelDiff(r.Full) }
 
 // SampledComparison is the sampled-vs-full validation artifact: the same
 // job matrix submitted to the shared runner twice — once full-detail,
@@ -132,9 +116,9 @@ func SampledVsFullPolicy(p sample.Policy) (SampledComparison, error) {
 		if rep == nil {
 			return SampledComparison{}, fmt.Errorf("sampled job %s returned no report", sampled.Job.Key())
 		}
-		if rep.TotalInsts != full.Insts() {
-			return SampledComparison{}, fmt.Errorf("%s/%s: sampled retired %d insts, full %d",
-				sampled.Job.CoreName(), sampled.Job.Kernel.Name, rep.TotalInsts, full.Insts())
+		if rep.TotalInsts != full.Insts() || rep.Exit != full.Exit() || !rep.Halted {
+			return SampledComparison{}, fmt.Errorf("%s/%s: sampled retired %d insts (exit %#x, halted %v), full %d (exit %#x)",
+				sampled.Job.CoreName(), sampled.Job.Kernel.Name, rep.TotalInsts, rep.Exit, rep.Halted, full.Insts(), full.Exit())
 		}
 		sc.Rows = append(sc.Rows, SampledRow{
 			Core:       full.Job.CoreName(),

@@ -14,24 +14,6 @@ func TestSampledVsFull(t *testing.T) {
 	if len(sc.Rows) != 6 {
 		t.Fatalf("got %d rows, want 6 (3 kernels x 2 cores)", len(sc.Rows))
 	}
-	for _, corename := range []string{"rocket", "LargeBOOM"} {
-		r, ok := sc.Find(corename, "towers")
-		if !ok {
-			t.Fatalf("missing %s/towers row", corename)
-		}
-		// towers is the headline long-running kernel: the default policy
-		// must hold the 2pp acceptance bound here (the broader sweep is
-		// asserted per-strategy in internal/check).
-		if got := r.MaxCategoryErr(); got > 0.02 {
-			t.Errorf("%s/towers max category error %.2fpp > 2pp", corename, 100*got)
-		}
-		if r.Windows < 5 {
-			t.Errorf("%s/towers only %d windows", corename, r.Windows)
-		}
-		if r.Coverage <= 0 || r.Coverage >= 0.5 {
-			t.Errorf("%s/towers coverage %.3f out of range", corename, r.Coverage)
-		}
-	}
 	var buf bytes.Buffer
 	sc.Fprint(&buf)
 	out := buf.String()

@@ -19,16 +19,6 @@ type CoreTelemetry struct {
 	SkipEvents    *Counter
 }
 
-// NewCoreTelemetry returns a standalone (unregistered) handle.
-func NewCoreTelemetry() *CoreTelemetry {
-	return &CoreTelemetry{
-		Cycles:        NewCounter(),
-		Insts:         NewCounter(),
-		SkippedCycles: NewCounter(),
-		SkipEvents:    NewCounter(),
-	}
-}
-
 // CoreTelemetryIn registers the handle's counters in reg under
 // icicle_<core>_cycles_simulated_total / icicle_<core>_insts_retired_total,
 // plus the shared skip series icicle_core_skipped_cycles_total /

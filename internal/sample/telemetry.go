@@ -27,22 +27,9 @@ type Telemetry struct {
 	SBInvalidations *obs.Counter
 }
 
-// NewTelemetry builds an unregistered handle (counters still count; they
-// are just not exported anywhere).
-func NewTelemetry() *Telemetry {
-	return &Telemetry{
-		FFInsts:         obs.NewCounter(),
-		WarmupReplays:   obs.NewCounter(),
-		DetailedCycles:  obs.NewCounter(),
-		DetailedInsts:   obs.NewCounter(),
-		Windows:         obs.NewCounter(),
-		QueueDepth:      obs.NewGauge(),
-		SBHits:          obs.NewCounter(),
-		SBMisses:        obs.NewCounter(),
-		SBTranslations:  obs.NewCounter(),
-		SBInvalidations: obs.NewCounter(),
-	}
-}
+// NewTelemetry builds a handle in a private registry (counters still
+// count; they are just not exported anywhere).
+func NewTelemetry() *Telemetry { return TelemetryIn(obs.NewRegistry()) }
 
 // TelemetryIn registers the counters in reg under the
 // icicle_sample_* (controller phases) and icicle_isa_superblock_*

@@ -30,8 +30,8 @@ type Runner struct {
 	corePool bool
 	store    ResultStore // optional persistent L2 (nil = memory only)
 
-	// m holds the runner's counters. New() uses standalone (unregistered)
-	// metrics so each runner's counts stay isolated; WithMetricsRegistry
+	// m holds the runner's counters. New() registers them in a private
+	// registry so each runner's counts stay isolated; WithMetricsRegistry
 	// publishes them under icicle_sim_* names instead, where a scraper or
 	// the -listen server can see them live.
 	m       *runnerMetrics
@@ -57,9 +57,10 @@ type Runner struct {
 	numGC      atomic.Uint64
 }
 
-// runnerMetrics is the full counter set, either standalone or backed by
-// an obs.Registry. The core telemetry handles are installed into pooled
-// cores on acquisition, so cycle/instruction throughput is attributed to
+// runnerMetrics is the full counter set, registered in an obs.Registry
+// that is private to the runner unless WithMetricsRegistry shares one.
+// The core telemetry handles are installed into pooled cores on
+// acquisition, so cycle/instruction throughput is attributed to
 // whichever runner is driving the core.
 type runnerMetrics struct {
 	jobs       *obs.Counter   // jobs submitted
@@ -82,25 +83,6 @@ type runnerMetrics struct {
 	// sample publishes the sampled-engine phase counters; passed into
 	// the controller on every sampled job.
 	sample *sample.Telemetry
-}
-
-func standaloneMetrics() *runnerMetrics {
-	return &runnerMetrics{
-		jobs:          obs.NewCounter(),
-		hits:          obs.NewCounter(),
-		misses:        obs.NewCounter(),
-		latency:       obs.NewHistogram(1e-9),
-		coreBuilds:    obs.NewCounter(),
-		coreReuses:    obs.NewCounter(),
-		windowHits:    obs.NewCounter(),
-		windowMisses:  obs.NewCounter(),
-		windowWorkers: obs.NewCounter(),
-		storeHits:     obs.NewCounter(),
-		storeMisses:   obs.NewCounter(),
-		rocket:        obs.NewCoreTelemetry(),
-		boom:          obs.NewCoreTelemetry(),
-		sample:        sample.NewTelemetry(),
-	}
 }
 
 func registryMetrics(reg *obs.Registry) *runnerMetrics {
@@ -170,8 +152,8 @@ func WithoutCorePool() Option {
 
 // WithMetricsRegistry publishes the runner's counters in reg under
 // icicle_sim_* names (get-or-create, so two runners over one registry
-// share counters). Without this option the runner keeps standalone,
-// unregistered metrics.
+// share counters). Without this option the runner keeps its counters in a
+// private registry.
 func WithMetricsRegistry(reg *obs.Registry) Option {
 	return func(r *Runner) { r.m = registryMetrics(reg) }
 }
@@ -192,13 +174,13 @@ func WithJobCallback(fn func(Result, time.Duration)) Option {
 }
 
 // New builds a runner. Defaults: GOMAXPROCS workers, memoization on,
-// core pooling on, standalone metrics, no tracing.
+// core pooling on, private metrics, no tracing.
 func New(opts ...Option) *Runner {
 	r := &Runner{
 		workers:  runtime.GOMAXPROCS(0),
 		memoize:  true,
 		corePool: true,
-		m:        standaloneMetrics(),
+		m:        registryMetrics(obs.NewRegistry()),
 		cache:    map[string]*cacheEntry{},
 	}
 	for _, o := range opts {
