@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race bench bench-smoke alloc-smoke obs-smoke sample-smoke sample-par-smoke superblock-smoke detail-smoke serve-smoke load-smoke perfbench-test check fuzz-smoke fmt vet scratch-guard ci
+.PHONY: all build test race bench bench-smoke alloc-smoke obs-smoke sample-smoke sample-par-smoke superblock-smoke detail-smoke serve-smoke perfbench-test check fuzz-smoke fmt vet scratch-guard ci
 
 all: build
 
@@ -70,24 +70,14 @@ detail-smoke:
 
 # Sweep-service smoke: the icicle-serve end-to-end contract under the
 # race detector — HTTP results byte-identical to the in-process runner, a
-# second server answering a persisted sweep with zero simulations, and
-# corrupted store blobs quarantined and recomputed (serve_smoke_test.go),
+# second server answering a persisted sweep with zero simulations,
+# corrupted store blobs quarantined and recomputed, and concurrent
+# wait-mode clients in two priority classes (serve_smoke_test.go),
 # plus the serve/store package suites (queueing fairness, sharding,
 # content-addressed store corruption/eviction/recovery).
 serve-smoke:
 	$(GO) test -race -run=ServeSmoke -count=1 .
 	$(GO) test -race ./internal/serve/ ./internal/store/ -count=1
-
-# Load-harness smoke: icicle-load's library drives a live serve.Server
-# open loop through the real HTTP stack under the race detector — a
-# 3-rung rate ladder in wait mode with coordinated-omission-corrected
-# quantiles, per-priority-class queue-wait scraped from the server's own
-# /metrics, populated SLO verdicts, and zero dropped samples
-# (load_smoke_test.go), plus the internal/load package suite (CO
-# correction, steady-state detection, SLO burn-rate arithmetic).
-load-smoke:
-	$(GO) test -race -run=LoadSmoke -count=1 .
-	$(GO) test -race ./internal/load/ -count=1
 
 # The benchmark harness's own checks (tail rule, lateness, layer-sum
 # arithmetic, digest stability). perfbench is a separate module, so the
@@ -128,4 +118,4 @@ scratch-guard:
 		echo "scratch files tracked in git:"; echo "$$out"; exit 1; \
 	fi
 
-ci: fmt vet scratch-guard build race bench-smoke alloc-smoke obs-smoke sample-smoke sample-par-smoke superblock-smoke detail-smoke serve-smoke load-smoke perfbench-test check fuzz-smoke
+ci: fmt vet scratch-guard build race bench-smoke alloc-smoke obs-smoke sample-smoke sample-par-smoke superblock-smoke detail-smoke serve-smoke perfbench-test check fuzz-smoke

@@ -256,7 +256,8 @@ func listMakespan(costs []time.Duration, workers int) time.Duration {
 // the dispatch RunPlan performs): real wall-clock scaling needs a
 // multi-core host, and like BenchmarkSweepSerialVsParallel this
 // benchmark must also hold on a single-CPU machine where goroutines
-// timeshare one core. BENCH_6.json records both views.
+// timeshare one core. CHANGES.md's two-phase sampled engine entry
+// records the modeled speedups.
 func BenchmarkSampledParallel(b *testing.B) {
 	k, err := kernel.ByName("towers")
 	if err != nil {

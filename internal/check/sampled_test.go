@@ -15,8 +15,8 @@ import (
 // shares land within a per-strategy epsilon. The programs are stretched
 // to ~450k instructions (~25 windows at this policy) so the assertion
 // tests estimation quality, not small-sample luck; the epsilons are set
-// from measured errors with margin (see BENCH_5.json for the defaults
-// picture).
+// from measured errors with margin (EXPERIMENTS.md "Sampled simulation
+// recipe" has the default-policy picture).
 func TestSampledAccuracyStrategies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sampled accuracy table is not a -short test")

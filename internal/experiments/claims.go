@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -456,6 +457,8 @@ func (o Outcome) Check() error {
 
 // RunClaims evaluates the claims, running each artifact they read once
 // (in claim order; the artifacts share jobs through sim.Default's memo).
+// An artifact that panics fails only the claims that read it: the panic
+// becomes that artifact's error, and the remaining artifacts still run.
 func RunClaims(claims []Claim) []Outcome {
 	type result struct {
 		v   any
@@ -466,7 +469,14 @@ func RunClaims(claims []Claim) []Outcome {
 	for i, c := range claims {
 		r, ok := results[c.Artifact()]
 		if !ok {
-			r.v, r.err = c.read.run()
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						r.err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
+					}
+				}()
+				r.v, r.err = c.read.run()
+			}()
 			results[c.Artifact()] = r
 		}
 		outs[i] = Outcome{Claim: c, Err: r.err}

@@ -84,3 +84,28 @@ func at(lines []string, i int) string {
 	}
 	return "<end>"
 }
+
+// A panicking artifact fails only its own claims: RunClaims turns the
+// panic into that artifact's error, and the claims after it still run.
+func TestRunClaimsRecoversArtifactPanic(t *testing.T) {
+	panics := artifact("panics", func() ([]float64, error) {
+		panic("synthetic artifact failure")
+	})
+	healthy := artifact("healthy", func() (float64, error) { return 0.25, nil })
+	outs := RunClaims([]Claim{
+		{ID: "reads-panics", Unit: share, Pred: atMost(1), read: panics(func(v []float64) float64 { return v[0] })},
+		{ID: "reads-healthy", Unit: share, Pred: atMost(1), read: healthy(func(v float64) float64 { return v })},
+	})
+	if len(outs) != 2 {
+		t.Fatalf("got %d outcomes, want 2", len(outs))
+	}
+	if err := outs[0].Err; err == nil || !strings.Contains(err.Error(), "synthetic artifact failure") {
+		t.Errorf("panicking artifact's outcome error = %v, want it to name the panic", err)
+	}
+	if err := outs[0].Check(); err == nil || !strings.HasPrefix(err.Error(), "reads-panics: ") {
+		t.Errorf("Check on the panicking artifact's claim = %v, want a failure naming the claim", err)
+	}
+	if outs[1].Err != nil || outs[1].Value != 0.25 {
+		t.Errorf("healthy artifact's outcome = (%v, %v), want (0.25, <nil>)", outs[1].Value, outs[1].Err)
+	}
+}

@@ -12,8 +12,7 @@ import (
 // sub-buckets) across the full uint64 range, while Observe stays a
 // handful of branch-free integer ops on atomics. Values below
 // hdrSubCount land in exact unit buckets. This is the same layout
-// HdrHistogram and wrk2 use to report coordinated-omission-corrected
-// latency, which is exactly what internal/load records into it.
+// HdrHistogram and wrk2 use to report latency quantiles.
 const (
 	hdrSubBits  = 5
 	hdrSubCount = 1 << hdrSubBits // sub-buckets per power of two
@@ -135,31 +134,8 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	return s.Quantile(q)
 }
 
-// Merge adds every bucket, the count, and the sum of o into h and raises
-// h's max to o's. Both histograms stay usable; concurrent Observes on
-// either are safe (the merge is atomic per field, not as a whole).
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n > 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	om := o.max.Load()
-	for {
-		cur := h.max.Load()
-		if om <= cur || h.max.CompareAndSwap(cur, om) {
-			return
-		}
-	}
-}
-
 // Snapshot captures a point-in-time copy of the distribution for
-// delta/quantile work off the hot path. Nil-safe (returns an empty
+// quantile work off the hot path. Nil-safe (returns an empty
 // snapshot).
 func (h *Histogram) Snapshot() *HistogramSnapshot {
 	s := &HistogramSnapshot{}
@@ -176,48 +152,13 @@ func (h *Histogram) Snapshot() *HistogramSnapshot {
 	return s
 }
 
-// HistogramSnapshot is an immutable copy of a Histogram's state. Deltas
-// between two snapshots of the same histogram isolate one measurement
-// window (internal/load uses this for steady-state trimming: final
-// snapshot minus the warm-up boundary snapshot).
+// HistogramSnapshot is an immutable copy of a Histogram's state.
 type HistogramSnapshot struct {
 	Count   uint64
 	Sum     uint64
-	Max     uint64 // running max at snapshot time (not per-window)
+	Max     uint64 // largest value observed up to the snapshot
 	Scale   float64
 	Buckets [hdrBuckets]uint64
-}
-
-// Delta returns s minus prev, bucket by bucket. Max carries s's running
-// maximum — an upper bound on the window maximum, and exact whenever the
-// overall maximum occurred inside the window. prev may be nil (the delta
-// is then s itself).
-func (s *HistogramSnapshot) Delta(prev *HistogramSnapshot) *HistogramSnapshot {
-	out := &HistogramSnapshot{Count: s.Count, Sum: s.Sum, Max: s.Max, Scale: s.Scale}
-	out.Buckets = s.Buckets
-	if prev != nil {
-		out.Count -= prev.Count
-		out.Sum -= prev.Sum
-		for i := range out.Buckets {
-			out.Buckets[i] -= prev.Buckets[i]
-		}
-	}
-	return out
-}
-
-// Merge adds o's window into s (count, sum, buckets; max is the larger).
-func (s *HistogramSnapshot) Merge(o *HistogramSnapshot) {
-	if o == nil {
-		return
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
 }
 
 // Quantile returns the q-quantile of the snapshot, exact to the
@@ -250,24 +191,4 @@ func (s *HistogramSnapshot) Quantile(q float64) uint64 {
 		}
 	}
 	return s.Max
-}
-
-// CountAbove returns the number of observations recorded in buckets
-// entirely above v: a lower bound within one sub-bucket (≤3.125%
-// relative) of the true count of observations > v. This is the SLO
-// burn-rate numerator in internal/load.
-func (s *HistogramSnapshot) CountAbove(v uint64) uint64 {
-	var above uint64
-	for i := bucketIndex(v) + 1; i < hdrBuckets; i++ {
-		above += s.Buckets[i]
-	}
-	return above
-}
-
-// Mean returns the average raw value (0 with no observations).
-func (s *HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }

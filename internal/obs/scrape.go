@@ -13,10 +13,10 @@ import (
 )
 
 // The scrape client is the read side of the registry's Prometheus text
-// exposition: icicle-load scrapes an icicle-serve /metrics endpoint
-// before and after each load step and diffs the two captures, so one
-// report can put client-observed latency next to the server's own
-// queue-wait histograms and store/memo hit counters. It parses the
+// exposition: the benchmark harness (perfbench) scrapes an icicle-serve
+// /metrics endpoint before and after a run and diffs the two captures,
+// so its report can put client-observed latency next to the server's
+// own queue-wait histograms and store/memo hit counters. It parses the
 // subset of the text format the registry emits (and any other exporter's
 // counters/gauges/histograms with simple label sets).
 
@@ -118,23 +118,6 @@ func (s *Scraped) Hist(name string) *ScrapedHistogram {
 		return nil
 	}
 	return s.Hists[name]
-}
-
-// HistsWithPrefix returns the keys of every histogram series whose key
-// starts with prefix, sorted — how icicle-load discovers the per-class
-// queue-wait series without knowing the class set up front.
-func (s *Scraped) HistsWithPrefix(prefix string) []string {
-	if s == nil {
-		return nil
-	}
-	var keys []string
-	for k := range s.Hists {
-		if strings.HasPrefix(k, prefix) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Delta returns s minus prev for every plain value and histogram —
@@ -341,15 +324,4 @@ func ScrapeURL(url string) (*Scraped, error) {
 		return nil, fmt.Errorf("scrape %s: %s", url, resp.Status)
 	}
 	return ParsePrometheus(resp.Body)
-}
-
-// ScrapeRegistry captures a registry through the same render/parse path
-// a remote scrape uses, so in-process and HTTP targets produce
-// identical report columns.
-func ScrapeRegistry(reg *Registry) (*Scraped, error) {
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		return nil, err
-	}
-	return ParsePrometheus(strings.NewReader(b.String()))
 }

@@ -15,11 +15,12 @@ import (
 
 // Plan cache: the producer pass of the two-phase sampled engine is a
 // full functional run of the program, which would dominate sampled wall
-// time if repeated per job (BENCH_5.json: fast-forward is ~2/3 of a
-// serial sampled run). A plan depends only on the program and the
-// sampling cadence — not on the core config or the window length — so
-// one cached plan serves a whole config sweep on both core models. The
-// cache is process-wide with singleflight builds, like sim's job cache.
+// time if repeated per job (fast-forward was ~2/3 of a serial sampled
+// run when the serial engine was measured). A plan depends only on the
+// program and the sampling cadence — not on the core config or the
+// window length — so one cached plan serves a whole config sweep on both
+// core models. The cache is process-wide with singleflight builds, like
+// sim's job cache.
 type planEntry struct {
 	done chan struct{}
 	plan *sample.Plan

@@ -49,9 +49,11 @@ type Policy struct {
 // the 32 KiB L1s on the paper's kernels (doubling it does not move the
 // estimates), and the ~3-6% detail fraction holds the top-level TMA
 // category error within 2pp on long-running kernels at a >5x wall-clock
-// speedup (see BENCH_5.json). Short programs should prefer full detail:
-// a run shorter than a handful of periods yields too few windows for the
-// extrapolation to be trustworthy (the confidence intervals say so).
+// speedup (6.8x Rocket, 6.5x LargeBOOM on towers; see the sampled
+// simulation engine's entry in CHANGES.md).
+// Short programs should prefer full detail: a run shorter than a handful
+// of periods yields too few windows for the extrapolation to be
+// trustworthy (the confidence intervals say so).
 func Default() Policy {
 	return Policy{Window: 2048, Period: 49152, Warmup: 16384}
 }

@@ -97,8 +97,8 @@ type SubmitRequest struct {
 	// StatusResponse (HTTP 200), written once every job in the batch has
 	// completed, instead of the immediate SubmitResponse ack (202). The
 	// batch still goes through the priority/fairness queue like any
-	// other — icicle-load uses this so one request equals one measured
-	// latency with no polling noise.
+	// other — the benchmark harness (perfbench) uses this so one request
+	// equals one measured latency with no polling noise.
 	Wait bool `json:"wait,omitempty"`
 }
 

@@ -3,20 +3,24 @@
 // in-process runner; a second server sharing the persistent store must
 // answer the same sweep with zero simulations (cross-process reuse); a
 // corrupted blob must be quarantined and transparently recomputed, never
-// served. This is what `make serve-smoke` (part of `make ci`) runs, under
-// the race detector. The cold-vs-warm benchmark at the bottom measures
-// what the store buys through the HTTP path.
+// served; concurrent wait-mode clients in two priority classes must all
+// get completed, identical results. This is what `make serve-smoke`
+// (part of `make ci`) runs, under the race detector. The cold-vs-warm
+// benchmark at the bottom measures what the store buys through the HTTP
+// path.
 package icicle_test
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -283,11 +287,113 @@ func TestServeSmokeCorruptedBlobRecovery(t *testing.T) {
 	}
 }
 
+// Concurrent synchronous clients: many wait-mode POSTs from two
+// priority classes against one simulating server. Every response must
+// be a completed 200 whose result renders exactly like the warm-up's,
+// each class's queue-wait histogram must count exactly the jobs sent in
+// it, and no request may be left in flight.
+func TestServeSmokeConcurrentWaitMode(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv := mustServe(t, serve.Config{Registry: reg, QueueWorkers: 2})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	specs := []serve.JobSpec{
+		{Core: "rocket", Kernel: "vvadd"},
+		{Core: "rocket", Kernel: "multiply"},
+	}
+	// Warm the memo at a priority the test does not otherwise use, so the
+	// class 0 and 2 histograms count only the concurrent requests.
+	warm := submitAndWait(t, ts.URL, serve.SubmitRequest{Client: "warmup", Priority: 1, Jobs: specs})
+	var want [][]byte
+	for _, r := range warm.Results {
+		want = append(want, canonicalJSON(t, r))
+	}
+
+	const clients, perClient = 8, 4
+	type reply struct {
+		code int
+		raw  []byte
+		err  error
+	}
+	replies := make([][perClient]reply, clients)
+	sent := map[int]int{}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		prio := 2 * (c % 2)
+		sent[prio] += perClient
+		wg.Add(1)
+		go func(c, prio int) {
+			defer wg.Done()
+			for i := range replies[c] {
+				body, _ := json.Marshal(serve.SubmitRequest{
+					Client: fmt.Sprintf("c%d", c), Priority: prio, Wait: true,
+					Jobs: []serve.JobSpec{specs[(c+i)%len(specs)]},
+				})
+				r := &replies[c][i]
+				resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+				if err != nil {
+					r.err = err
+					continue
+				}
+				// Read to EOF: the response ends only after the handler
+				// (and its in-flight accounting) has returned.
+				r.code = resp.StatusCode
+				r.raw, r.err = io.ReadAll(resp.Body)
+				resp.Body.Close()
+			}
+		}(c, prio)
+	}
+	wg.Wait()
+
+	for c := range replies {
+		for i, r := range replies[c] {
+			k := (c + i) % len(specs)
+			if r.err != nil || r.code != http.StatusOK {
+				t.Errorf("client %d request %d: status %d, err %v", c, i, r.code, r.err)
+				continue
+			}
+			var st serve.StatusResponse
+			if err := json.Unmarshal(r.raw, &st); err != nil {
+				t.Errorf("client %d request %d: %v", c, i, err)
+				continue
+			}
+			if st.State != "done" || len(st.Results) != 1 {
+				t.Errorf("client %d request %d: not a completed status: state %q, %d results", c, i, st.State, len(st.Results))
+				continue
+			}
+			if got := canonicalJSON(t, st.Results[0]); !bytes.Equal(got, want[k]) {
+				t.Errorf("client %d request %d (%s): result differs from the warm-up's:\n got %s\nwant %s",
+					c, i, specs[k].Kernel, got, want[k])
+			}
+		}
+	}
+
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := obs.ParsePrometheus(strings.NewReader(text.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for prio, n := range sent {
+		name := fmt.Sprintf(`icicle_serve_queue_wait_seconds_count{class="%d"}`, prio)
+		if got := sc.Value(name); got != float64(n) {
+			t.Errorf("%s = %g, want %d", name, got, n)
+		}
+	}
+	if got := sc.Value("icicle_serve_inflight"); got != 0 {
+		t.Errorf("icicle_serve_inflight = %g after every response, want 0", got)
+	}
+}
+
 // BenchmarkServeColdVsWarm measures one full-detail job through the HTTP
 // path, cold (fresh store each iteration: simulate + persist) vs warm
 // (fresh server each iteration, shared store: blob hit, zero simulation).
-// The ratio is the store's value for repeated sweeps; results land in
-// BENCH_8.json.
+// The ratio is the store's value for repeated sweeps; CHANGES.md's
+// icicle-serve entry records the measured numbers.
 func BenchmarkServeColdVsWarm(b *testing.B) {
 	spec := serve.JobSpec{Core: "rocket", Kernel: "multiply"}
 
