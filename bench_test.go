@@ -191,10 +191,22 @@ func BenchmarkSampledVsFull(b *testing.B) {
 	}
 	targets := []target{
 		{"rocket",
-			func() error { _, _, err := perf.RunRocketOn(rc, k); return err },
+			func() error {
+				if err := perf.SimulateRocketOn(rc, k); err != nil {
+					return err
+				}
+				_, _, err := perf.TallyRocket(rc)
+				return err
+			},
 			func() error { _, _, _, err := perf.SampleRocketOn(rc, k, p, sample.Options{}); return err }},
 		{"LargeBOOM",
-			func() error { _, _, err := perf.RunBoomOn(bc, k); return err },
+			func() error {
+				if err := perf.SimulateBoomOn(bc, k); err != nil {
+					return err
+				}
+				_, _, err := perf.TallyBoom(bc)
+				return err
+			},
 			func() error { _, _, _, err := perf.SampleBoomOn(bc, k, p, sample.Options{}); return err }},
 	}
 	for _, tg := range targets {

@@ -50,8 +50,7 @@ func main() {
 func run() (err error) {
 	only := flag.String("only", "", "comma-separated artifact list (fig3,fig7a,fig7c,fig7d,fig7ef,fig7g,fig7k,fig7m,fig7n,table5,table6,fig8,fig9,undercount,archcmp,widthsweep,ras,sampled,sampledpar,claims)")
 	outDir := flag.String("out", "", "also write each artifact to <dir>/<name>.txt (the artifact's iiswc-2025-ae-out equivalent)")
-	jobs := flag.Int("j", 0, "simulation worker goroutines (0 = GOMAXPROCS); alias -parallel")
-	flag.IntVar(jobs, "parallel", 0, "alias for -j")
+	jobs := flag.Int("j", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print one line per simulation job and runner statistics at exit")
 	sampleDef := sample.Default()
 	sampleWindow := flag.Uint64("sample-window", sampleDef.Window, "sampled artifact: detailed window length in cycles")

@@ -1,217 +1,168 @@
 // Command icicle-perf is the perf-like front end of the Icicle stack: it
-// runs a workload kernel on a simulated Rocket or BOOM core with the PMU
-// programmed through the CSR interface, then prints the hierarchical TMA
-// breakdown (the tma_tool of the paper's artifact).
+// runs a workload kernel on a simulated Rocket or BOOM core through the
+// shared simulation runner, then prints the hierarchical TMA breakdown
+// (the tma_tool of the paper's artifact).
 //
 // Usage:
 //
 //	icicle-perf -core boom -size large -kernel coremark
-//	icicle-perf -core rocket -kernel qsort -counters distributed
+//	icicle-perf -core rocket -kernel towers -sample-window 2048
 //	icicle-perf -list
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 
 	"icicle/internal/boom"
 	"icicle/internal/core"
 	"icicle/internal/isa"
 	"icicle/internal/kernel"
+	"icicle/internal/mem"
 	"icicle/internal/obs"
-	"icicle/internal/perf"
-	"icicle/internal/pmu"
 	"icicle/internal/rocket"
 	"icicle/internal/sample"
+	"icicle/internal/sim"
 )
 
-// tele is the shared telemetry wiring; package-level so fatal can flush
-// the -metrics-out/-trace-span-out files before exiting.
-var tele obs.CLI
-
 func main() {
-	var (
-		coreKind = flag.String("core", "boom", "core to simulate: rocket or boom")
-		size     = flag.String("size", "large", "BOOM size: small, medium, large, mega, giga")
-		kname    = flag.String("kernel", "coremark", "workload kernel (see -list)")
-		counters = flag.String("counters", "add-wires", "counter architecture: scalar, add-wires, distributed")
-		list     = flag.Bool("list", false, "list available kernels and exit")
-		events   = flag.Bool("events", false, "also dump raw event totals")
-		tlb      = flag.Bool("tlb", false, "enable the third-level TLB extension")
-		ras      = flag.Bool("ras", false, "enable BOOM's return-address stack")
-
-		sampleDef    = sample.Default()
-		sampleWindow = flag.Uint64("sample-window", 0, "sampled simulation: detailed window length in cycles (0 = full detail)")
-		samplePeriod = flag.Uint64("sample-period", sampleDef.Period, "sampled simulation: instructions fast-forwarded between windows")
-		sampleWarmup = flag.Int("sample-warmup", sampleDef.Warmup, "sampled simulation: trailing fast-forward instructions that warm caches and predictors")
-		samplePar    = flag.Int("sample-par", 0, "sampled simulation: run the two-phase engine with this many window workers (0 = classic serial engine; report is identical for any worker count)")
-
-		noSuperblock = flag.Bool("no-superblock", false, "disable the superblock threaded-code functional engine (debug/ablation; results are bit-identical either way)")
-		noSkip       = flag.Bool("no-skip", false, "disable event-driven stall-cycle skipping in the detailed cores (debug/ablation; results are bit-identical either way)")
-	)
-	tele.AddFlags(flag.CommandLine)
-	flag.Parse()
-	isa.DefaultSuperblocks = !*noSuperblock
-	rocket.DefaultStallSkip = !*noSkip
-	boom.DefaultStallSkip = !*noSkip
-	if err := tele.Start("icicle-perf"); err != nil {
-		fatal(err)
-	}
-	defer stopTele()
-
-	if *list {
-		for _, k := range kernel.All() {
-			fmt.Printf("%-18s %-11s %s\n", k.Name, k.Category, k.Description)
-		}
-		return
-	}
-
-	arch, err := pmu.ParseArchitecture(*counters)
-	if err != nil {
-		fatal(err)
-	}
-	k, err := kernel.ByName(*kname)
-	if err != nil {
-		fatal(err)
-	}
-	sp := sample.Policy{Window: *sampleWindow, Period: *samplePeriod, Warmup: *sampleWarmup}
-	if err := sp.Validate(); err != nil {
-		fatal(err)
-	}
-
-	switch *coreKind {
-	case "rocket":
-		cfg := rocket.DefaultConfig()
-		cfg.PMUArch = arch
-		prog, err := k.Program()
-		if err != nil {
-			fatal(err)
-		}
-		c := rocket.New(cfg, prog)
-		c.SetTelemetry(obs.CoreTelemetryIn(obs.Default(), "rocket"))
-		var (
-			tally map[string]uint64
-			b     core.Breakdown
-			rep   *sample.Report
-		)
-		if sp.Enabled() && *samplePar > 0 {
-			cs := make([]*rocket.Core, *samplePar)
-			cs[0] = c
-			for i := 1; i < len(cs); i++ {
-				cs[i] = rocket.New(cfg, prog)
-				cs[i].SetTelemetry(obs.CoreTelemetryIn(obs.Default(), "rocket"))
-			}
-			var res rocket.Result
-			res, rep, b, err = perf.SampleRocketParOn(cs, k, sp, sampleOpts(), nil)
-			tally = res.Tally
-		} else if sp.Enabled() {
-			var res rocket.Result
-			res, rep, b, err = perf.SampleRocketOn(c, k, sp, sampleOpts())
-			tally = res.Tally
-		} else {
-			var res rocket.Result
-			res, b, err = perf.RunRocketOn(c, k)
-			tally = res.Tally
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if *tlb {
-			b = withTLB(b, cfg.Hierarchy.TLBHitL2, cfg.Hierarchy.PTWLatency)
-		}
-		fmt.Printf("%s on Rocket (%v counters)\n", k.Name, arch)
-		fmt.Print(b)
-		printSampled(rep)
-		if *events {
-			dump(tally)
-		}
-	case "boom":
-		s, err := boom.ParseSize(*size)
-		if err != nil {
-			fatal(err)
-		}
-		cfg := boom.NewConfig(s)
-		cfg.PMUArch = arch
-		cfg.UseRAS = *ras
-		prog, err := k.Program()
-		if err != nil {
-			fatal(err)
-		}
-		c, err := boom.New(cfg, prog)
-		if err != nil {
-			fatal(err)
-		}
-		c.SetTelemetry(obs.CoreTelemetryIn(obs.Default(), "boom"))
-		var (
-			tally map[string]uint64
-			b     core.Breakdown
-			rep   *sample.Report
-		)
-		if sp.Enabled() && *samplePar > 0 {
-			cs := make([]*boom.Core, *samplePar)
-			cs[0] = c
-			for i := 1; i < len(cs); i++ {
-				if cs[i], err = boom.New(cfg, prog); err != nil {
-					fatal(err)
-				}
-				cs[i].SetTelemetry(obs.CoreTelemetryIn(obs.Default(), "boom"))
-			}
-			var res boom.Result
-			res, rep, b, err = perf.SampleBoomParOn(cs, k, sp, sampleOpts(), nil)
-			tally = res.Tally
-		} else if sp.Enabled() {
-			var res boom.Result
-			res, rep, b, err = perf.SampleBoomOn(c, k, sp, sampleOpts())
-			tally = res.Tally
-		} else {
-			var res boom.Result
-			res, b, err = perf.RunBoomOn(c, k)
-			tally = res.Tally
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if *tlb {
-			b = withTLB(b, cfg.Hierarchy.TLBHitL2, cfg.Hierarchy.PTWLatency)
-		}
-		fmt.Printf("%s on %s (%v counters)\n", k.Name, cfg.Name, arch)
-		fmt.Print(b)
-		printSampled(rep)
-		if *events {
-			dump(tally)
-		}
-	default:
-		fatal(fmt.Errorf("unknown core %q (want rocket or boom)", *coreKind))
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "icicle-perf:", err)
+		os.Exit(1)
 	}
 }
 
-// sampleOpts wires a sampled run into the process-wide telemetry
-// registry and (when enabled) the span tracer.
-func sampleOpts() sample.Options {
-	return sample.Options{
-		Telemetry: sample.TelemetryIn(obs.Default()),
-		Tracer:    obs.Tracing(),
-		Tid:       1,
+// run parses args, runs the kernel as one sim.Job on the shared runner,
+// and writes the report to w. It holds the whole program so the
+// telemetry defer fires on every exit path.
+func run(args []string, w io.Writer) (err error) {
+	fs := flag.NewFlagSet("icicle-perf", flag.ContinueOnError)
+	var (
+		coreKind = fs.String("core", "boom", "core to simulate: rocket or boom")
+		size     = fs.String("size", "large", "BOOM size: small, medium, large, mega, giga")
+		kname    = fs.String("kernel", "coremark", "workload kernel (see -list)")
+		list     = fs.Bool("list", false, "list available kernels and exit")
+		events   = fs.Bool("events", false, "also dump raw event totals")
+		tlb      = fs.Bool("tlb", false, "enable the third-level TLB extension")
+		ras      = fs.Bool("ras", false, "enable BOOM's return-address stack")
+
+		sampleDef    = sample.Default()
+		sampleWindow = fs.Uint64("sample-window", 0, "sampled simulation: detailed window length in cycles (0 = full detail)")
+		samplePeriod = fs.Uint64("sample-period", sampleDef.Period, "sampled simulation: instructions fast-forwarded between windows")
+		sampleWarmup = fs.Int("sample-warmup", sampleDef.Warmup, "sampled simulation: trailing fast-forward instructions that warm caches and predictors")
+		samplePar    = fs.Int("sample-par", 0, "sampled simulation: > 0 runs the two-phase engine, its windows on every idle core (0 = classic serial engine; report is identical either way and for any value)")
+
+		noSuperblock = fs.Bool("no-superblock", false, "disable the superblock threaded-code functional engine (debug/ablation; results are bit-identical either way)")
+		noSkip       = fs.Bool("no-skip", false, "disable event-driven stall-cycle skipping in the detailed cores (debug/ablation; results are bit-identical either way)")
+	)
+	var tele obs.CLI
+	tele.AddFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
+	isa.DefaultSuperblocks = !*noSuperblock
+	rocket.DefaultStallSkip = !*noSkip
+	boom.DefaultStallSkip = !*noSkip
+
+	// Telemetry first: Start enables span tracing before the shared runner
+	// is rebuilt, so the runner picks the tracer up.
+	if err := tele.Start("icicle-perf"); err != nil {
+		return err
+	}
+	defer func() {
+		if serr := tele.Stop(); serr != nil && err == nil {
+			err = serr
+		}
+	}()
+	sim.ConfigureDefault()
+
+	if *list {
+		for _, k := range kernel.All() {
+			fmt.Fprintf(w, "%-18s %-11s %s\n", k.Name, k.Category, k.Description)
+		}
+		return nil
+	}
+
+	k, err := kernel.ByName(*kname)
+	if err != nil {
+		return err
+	}
+	sp := sample.Policy{Window: *sampleWindow, Period: *samplePeriod, Warmup: *sampleWarmup}
+	if err := sp.Validate(); err != nil {
+		return err
+	}
+
+	var (
+		j    sim.Job
+		name string
+		hier mem.HierarchyConfig
+	)
+	switch *coreKind {
+	case "rocket":
+		cfg := rocket.DefaultConfig()
+		j, name, hier = sim.RocketJob(cfg, k), "Rocket", cfg.Hierarchy
+	case "boom":
+		s, err := boom.ParseSize(*size)
+		if err != nil {
+			return err
+		}
+		cfg := boom.NewConfig(s)
+		cfg.UseRAS = *ras
+		j, name, hier = sim.BoomJob(cfg, k), cfg.Name, cfg.Hierarchy
+	default:
+		return fmt.Errorf("unknown core %q (want rocket or boom)", *coreKind)
+	}
+	switch {
+	case sp.Enabled() && *samplePar > 0:
+		j = j.WithParallelSampling(sp, *samplePar)
+	case sp.Enabled():
+		j = j.WithSampling(sp)
+	}
+
+	res := sim.Default().RunOne(j)
+	if res.Err != nil {
+		return res.Err
+	}
+	b := res.Breakdown
+	if *tlb {
+		b = withTLB(b, hier.TLBHitL2, hier.PTWLatency)
+	}
+	fmt.Fprintf(w, "%s on %s\n", k.Name, name)
+	fmt.Fprint(w, b)
+	printSampled(w, res.Sampled)
+	if *events {
+		tally := res.Rocket.Tally
+		if j.Core == sim.Boom {
+			tally = res.Boom.Tally
+		}
+		dump(w, tally)
+	}
+	return nil
 }
 
 // printSampled appends the estimation summary of a sampled run to the
 // breakdown output; a nil report (full-detail run) prints nothing.
-func printSampled(rep *sample.Report) {
+func printSampled(w io.Writer, rep *sample.Report) {
 	if rep == nil {
 		return
 	}
 	if rep.Exact {
-		fmt.Printf("sampled (%s): program shorter than one period; run was exact full detail\n", rep.Policy)
+		fmt.Fprintf(w, "sampled (%s): program shorter than one period; run was exact full detail\n", rep.Policy)
 		return
 	}
-	fmt.Printf("sampled (%s): est cycles %d  insts %d  windows %d  coverage %.2f%%\n",
+	fmt.Fprintf(w, "sampled (%s): est cycles %d  insts %d  windows %d  coverage %.2f%%\n",
 		rep.Policy, rep.EstCycles, rep.TotalInsts, len(rep.Windows), 100*rep.Coverage)
-	fmt.Printf("  CPI %.4f  95%% CI [%.4f, %.4f]\n", rep.CPI, rep.CPICI.Lo, rep.CPICI.Hi)
+	fmt.Fprintf(w, "  CPI %.4f  95%% CI [%.4f, %.4f]\n", rep.CPI, rep.CPICI.Lo, rep.CPICI.Hi)
 	for _, name := range []string{"Retiring", "BadSpec", "Frontend", "Backend"} {
 		if iv, ok := rep.CategoryCI[name]; ok {
-			fmt.Printf("  %-8s 95%% CI [%5.1f%%, %5.1f%%]\n", name, 100*iv.Lo, 100*iv.Hi)
+			fmt.Fprintf(w, "  %-8s 95%% CI [%5.1f%%, %5.1f%%]\n", name, 100*iv.Lo, 100*iv.Hi)
 		}
 	}
 }
@@ -224,36 +175,14 @@ func withTLB(b core.Breakdown, l2hit, ptw int) core.Breakdown {
 	return core.MustEvaluate(cfg, b.Counts)
 }
 
-func dump(tally map[string]uint64) {
-	fmt.Println("raw event totals:")
-	for _, k := range sortedKeys(tally) {
-		fmt.Printf("  %-24s %d\n", k, tally[k])
-	}
-}
-
-func sortedKeys(m map[string]uint64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
+func dump(w io.Writer, tally map[string]uint64) {
+	keys := make([]string, 0, len(tally))
+	for k := range tally {
 		keys = append(keys, k)
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
+	sort.Strings(keys)
+	fmt.Fprintln(w, "raw event totals:")
+	for _, k := range keys {
+		fmt.Fprintf(w, "  %-24s %d\n", k, tally[k])
 	}
-	return keys
-}
-
-// stopTele flushes the telemetry outputs, reporting (but not failing on)
-// write errors.
-func stopTele() {
-	if err := tele.Stop(); err != nil {
-		fmt.Fprintln(os.Stderr, "icicle-perf:", err)
-	}
-}
-
-func fatal(err error) {
-	tele.Stop() // os.Exit skips defers; flush telemetry outputs first
-	fmt.Fprintln(os.Stderr, "icicle-perf:", err)
-	os.Exit(1)
 }

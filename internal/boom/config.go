@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"icicle/internal/mem"
-	"icicle/internal/pmu"
 )
 
 // Size selects one of the five Table IV BOOM configurations.
@@ -86,7 +85,6 @@ type Config struct {
 	DivLatency      int
 
 	Hierarchy mem.HierarchyConfig
-	PMUArch   pmu.Architecture
 
 	MaxCycles uint64
 	MaxInsts  uint64
@@ -106,7 +104,6 @@ func commonTiming(c Config) Config {
 	c.LoadLatency = 3
 	c.MulLatency = 3
 	c.DivLatency = 16
-	c.PMUArch = pmu.AddWires
 	c.MaxCycles = defaultMaxCycles
 	c.MaxInsts = 500_000_000
 	// "The Fetch Buffer typically holds two cycles of instruction data"
@@ -182,9 +179,6 @@ func (c Config) Validate() error {
 	}
 	if c.ROBEntries < 2*c.DecodeWidth {
 		return fmt.Errorf("boom: ROB too small (%d)", c.ROBEntries)
-	}
-	if err := c.PMUArch.Validate(); err != nil {
-		return err
 	}
 	return c.Hierarchy.Validate()
 }

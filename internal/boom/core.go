@@ -144,7 +144,9 @@ type Core struct {
 	issuedThisCycle int
 }
 
-// New builds a core executing prog.
+// New builds a core executing prog. Its PMU counts with AddWires
+// counters; code that reads another counter architecture sets PMU.Arch
+// before it programs the counters.
 func New(cfg Config, prog *asm.Program) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -152,7 +154,7 @@ func New(cfg Config, prog *asm.Program) (*Core, error) {
 	memory := mem.NewSparse()
 	prog.LoadInto(memory)
 	space := NewSpace(cfg.DecodeWidth, cfg.IssueWidth)
-	p := pmu.New(space, cfg.PMUArch)
+	p := pmu.New(space, pmu.AddWires)
 	cpu := isa.NewCPU(memory, prog.Entry)
 	cpu.CSR = p
 	c := &Core{

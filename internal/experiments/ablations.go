@@ -47,12 +47,11 @@ func WidthSweep(kernelName, event string) (WidthSweepResult, error) {
 		point WidthPoint
 	}
 	points, err := sim.Map(0, widths, func(_ int, width uint) (widthOut, error) {
-		cfg := boom.NewConfig(boom.Large)
-		cfg.PMUArch = pmu.Distributed
-		c, err := boom.New(cfg, k.MustProgram())
+		c, err := boom.New(boom.NewConfig(boom.Large), k.MustProgram())
 		if err != nil {
 			return widthOut{}, err
 		}
+		c.PMU.Arch = pmu.Distributed
 		c.PMU.DistWidth = width
 		if err := c.PMU.ConfigureEvents(0, event); err != nil {
 			return widthOut{}, err

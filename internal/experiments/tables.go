@@ -247,11 +247,11 @@ func UndercountBound(kernelName string) (UndercountResult, error) {
 		return UndercountResult{}, err
 	}
 	cfg := boom.NewConfig(boom.Large)
-	cfg.PMUArch = pmu.Distributed
 	c, err := boom.New(cfg, k.MustProgram())
 	if err != nil {
 		return UndercountResult{}, err
 	}
+	c.PMU.Arch = pmu.Distributed
 	if err := c.PMU.ConfigureEvents(0, boom.EvFetchBubbles); err != nil {
 		return UndercountResult{}, err
 	}
@@ -303,12 +303,11 @@ func CounterArchComparison(kernelName, event string) (ArchComparison, error) {
 	archs := []pmu.Architecture{pmu.Scalar, pmu.AddWires, pmu.Distributed}
 	type archCounts struct{ read, exact uint64 }
 	counts, err := sim.Map(0, archs, func(_ int, arch pmu.Architecture) (archCounts, error) {
-		cfg := boom.NewConfig(boom.Large)
-		cfg.PMUArch = arch
-		c, err := boom.New(cfg, k.MustProgram())
+		c, err := boom.New(boom.NewConfig(boom.Large), k.MustProgram())
 		if err != nil {
 			return archCounts{}, err
 		}
+		c.PMU.Arch = arch
 		if err := c.PMU.ConfigureEvents(0, event); err != nil {
 			return archCounts{}, err
 		}

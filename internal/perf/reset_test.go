@@ -39,9 +39,12 @@ func TestRocketResetMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: fresh run: %v", name, err)
 		}
-		reused, rb, err := RunRocketOn(shared, k)
-		if err != nil {
+		if err := SimulateRocketOn(shared, k); err != nil {
 			t.Fatalf("%s: reused run: %v", name, err)
+		}
+		reused, rb, err := TallyRocket(shared)
+		if err != nil {
+			t.Fatalf("%s: reused tally: %v", name, err)
 		}
 		if !reflect.DeepEqual(fresh, reused) {
 			t.Errorf("%s: reused-core result diverges from fresh core\nfresh:  %+v\nreused: %+v",
@@ -78,9 +81,12 @@ func TestBoomResetMatchesFresh(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: fresh run: %v", name, err)
 				}
-				reused, rb, err := RunBoomOn(shared, k)
-				if err != nil {
+				if err := SimulateBoomOn(shared, k); err != nil {
 					t.Fatalf("%s: reused run: %v", name, err)
+				}
+				reused, rb, err := TallyBoom(shared)
+				if err != nil {
+					t.Fatalf("%s: reused tally: %v", name, err)
 				}
 				if !reflect.DeepEqual(fresh, reused) {
 					t.Errorf("%s: reused-core result diverges from fresh core\nfresh:  %+v\nreused: %+v",

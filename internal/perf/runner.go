@@ -14,22 +14,18 @@ func RunRocket(cfg rocket.Config, k *kernel.Kernel) (rocket.Result, core.Breakdo
 	if err != nil {
 		return rocket.Result{}, core.Breakdown{}, err
 	}
-	return RunRocketOn(rocket.New(cfg, prog), k)
-}
-
-// RunRocketOn resets an existing core, simulates the kernel on it, and
-// evaluates TMA. This is the pooled-core path of internal/sim: results
-// are byte-identical to RunRocket with a fresh core.
-func RunRocketOn(c *rocket.Core, k *kernel.Kernel) (rocket.Result, core.Breakdown, error) {
+	c := rocket.New(cfg, prog)
 	if err := SimulateRocketOn(c, k); err != nil {
 		return rocket.Result{}, core.Breakdown{}, err
 	}
 	return TallyRocket(c)
 }
 
-// SimulateRocketOn is the cycle-accurate half of RunRocketOn: program,
-// reset, and run to completion. Split out so callers (the sim pipeline
-// spans) can time simulation and tallying separately.
+// SimulateRocketOn resets an existing core onto the kernel's program and
+// runs it to completion: the cycle-accurate half of a run, which
+// TallyRocket then evaluates. The halves are split so callers (the sim
+// pipeline spans) can time them separately; on a reused core the results
+// are byte-identical to RunRocket's fresh core.
 func SimulateRocketOn(c *rocket.Core, k *kernel.Kernel) error {
 	prog, err := k.Program()
 	if err != nil {
@@ -39,7 +35,7 @@ func SimulateRocketOn(c *rocket.Core, k *kernel.Kernel) error {
 	return c.RunCycles()
 }
 
-// TallyRocket is the evaluation half of RunRocketOn: extract the dense
+// TallyRocket is the evaluation half of a run: extract the dense
 // event tallies and evaluate the TMA tree over them.
 func TallyRocket(c *rocket.Core) (rocket.Result, core.Breakdown, error) {
 	o := rocketOptions(sample.Options{})
@@ -57,20 +53,13 @@ func RunBoom(cfg boom.Config, k *kernel.Kernel) (boom.Result, core.Breakdown, er
 	if err != nil {
 		return boom.Result{}, core.Breakdown{}, err
 	}
-	return RunBoomOn(c, k)
-}
-
-// RunBoomOn resets an existing core, simulates the kernel on it, and
-// evaluates TMA. This is the pooled-core path of internal/sim: results
-// are byte-identical to RunBoom with a fresh core.
-func RunBoomOn(c *boom.Core, k *kernel.Kernel) (boom.Result, core.Breakdown, error) {
 	if err := SimulateBoomOn(c, k); err != nil {
 		return boom.Result{}, core.Breakdown{}, err
 	}
 	return TallyBoom(c)
 }
 
-// SimulateBoomOn is the cycle-accurate half of RunBoomOn.
+// SimulateBoomOn is SimulateRocketOn for BOOM.
 func SimulateBoomOn(c *boom.Core, k *kernel.Kernel) error {
 	prog, err := k.Program()
 	if err != nil {
@@ -80,7 +69,7 @@ func SimulateBoomOn(c *boom.Core, k *kernel.Kernel) error {
 	return c.RunCycles()
 }
 
-// TallyBoom is the evaluation half of RunBoomOn.
+// TallyBoom is TallyRocket for BOOM.
 func TallyBoom(c *boom.Core) (boom.Result, core.Breakdown, error) {
 	o := boomOptions(c, sample.Options{})
 	b, err := core.Evaluate(o.TMA, o.Counts(c.Cycles(), c.Insts(), c.CopyTally(nil)))

@@ -35,24 +35,6 @@ func (a Architecture) String() string {
 	return fmt.Sprintf("arch(%d)", uint8(a))
 }
 
-// Validate rejects a value that names none of the modeled architectures.
-func (a Architecture) Validate() error {
-	if int(a) >= len(archNames) {
-		return fmt.Errorf("pmu: unknown counter architecture %v", a)
-	}
-	return nil
-}
-
-// ParseArchitecture converts a CLI name into an Architecture.
-func ParseArchitecture(s string) (Architecture, error) {
-	for i, n := range archNames {
-		if s == n {
-			return Architecture(i), nil
-		}
-	}
-	return 0, fmt.Errorf("pmu: unknown counter architecture %q (want scalar, add-wires, or distributed)", s)
-}
-
 // counter is the hardware behind one mhpmcounter CSR.
 type counter interface {
 	// tick advances one cycle; asserted is the per-selected-event lane

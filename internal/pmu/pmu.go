@@ -42,7 +42,10 @@ func DecodeSelector(v uint64) Selector {
 // instructions, and exposes a direct Go API for out-of-band use.
 type PMU struct {
 	Space *Space
-	Arch  Architecture
+	// Arch is the counter microarchitecture. It changes what the counters
+	// read, never how the core runs. Set before Configure, which rebuilds
+	// each counter from it.
+	Arch Architecture
 
 	selectors [NumHPMCounters]Selector
 	counters  [NumHPMCounters]counter

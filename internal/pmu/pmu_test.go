@@ -278,18 +278,6 @@ func TestUnknownCSRReadsZero(t *testing.T) {
 	}
 }
 
-func TestArchitectureParse(t *testing.T) {
-	for _, a := range []Architecture{Scalar, AddWires, Distributed} {
-		got, err := ParseArchitecture(a.String())
-		if err != nil || got != a {
-			t.Errorf("ParseArchitecture(%q) = %v, %v", a.String(), got, err)
-		}
-	}
-	if _, err := ParseArchitecture("bogus"); err == nil {
-		t.Error("ParseArchitecture(bogus) succeeded")
-	}
-}
-
 func TestCounterArchitecturesAgreeOnSingleSourceEvents(t *testing.T) {
 	// For 1-source events asserted sparsely, all three architectures must
 	// agree exactly once residues are drained.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"icicle/internal/mem"
-	"icicle/internal/pmu"
 )
 
 // Config parameterizes the Rocket timing model. DefaultConfig matches
@@ -26,7 +25,6 @@ type Config struct {
 	FenceIPenalty       int // fence.i: flush pipeline and I$
 
 	Hierarchy mem.HierarchyConfig
-	PMUArch   pmu.Architecture
 
 	MaxCycles uint64 // simulation guard (0 = default)
 	MaxInsts  uint64 // instruction budget (0 = default)
@@ -52,7 +50,6 @@ func DefaultConfig() Config {
 		FencePenalty:        4,
 		FenceIPenalty:       8,
 		Hierarchy:           mem.DefaultHierarchyConfig(2),
-		PMUArch:             pmu.AddWires,
 		MaxCycles:           defaultMaxCycles,
 		MaxInsts:            500_000_000,
 	}
@@ -65,10 +62,10 @@ func (Config) CommitWidth() int { return 1 }
 func (Config) IssueWidth() int { return 1 }
 
 // Validate checks the configuration: a power-of-two fetch width, a
-// non-empty instruction buffer, no negative latency or penalty, a known
-// PMU architecture, and a valid memory hierarchy. New does not call it
-// (the paper's configs are valid by construction); configs from outside
-// the program should be checked first.
+// non-empty instruction buffer, no negative latency or penalty, and a
+// valid memory hierarchy. New does not call it (the paper's configs are
+// valid by construction); configs from outside the program should be
+// checked first.
 func (c Config) Validate() error {
 	if c.FetchWidth < 1 || c.FetchWidth&(c.FetchWidth-1) != 0 {
 		return fmt.Errorf("rocket: fetch width %d is not a positive power of two", c.FetchWidth)
@@ -79,9 +76,6 @@ func (c Config) Validate() error {
 	if min(c.BrMispredictPenalty, c.TakenBubble, c.BTBMissPenalty, c.JALRPenalty, c.LoadUseDelay,
 		c.MulLatency, c.DivLatency, c.CSRLatency, c.FencePenalty, c.FenceIPenalty) < 0 {
 		return fmt.Errorf("rocket: negative latency or penalty")
-	}
-	if err := c.PMUArch.Validate(); err != nil {
-		return err
 	}
 	return c.Hierarchy.Validate()
 }

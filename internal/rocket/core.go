@@ -106,12 +106,14 @@ type Core struct {
 	done         bool
 }
 
-// New builds a core executing prog.
+// New builds a core executing prog. Its PMU counts with AddWires
+// counters; code that reads another counter architecture sets PMU.Arch
+// before it programs the counters.
 func New(cfg Config, prog *asm.Program) *Core {
 	memory := mem.NewSparse()
 	prog.LoadInto(memory)
 	hier := mem.NewHierarchy(cfg.Hierarchy)
-	p := pmu.New(Events, cfg.PMUArch)
+	p := pmu.New(Events, pmu.AddWires)
 	cpu := isa.NewCPU(memory, prog.Entry)
 	cpu.CSR = p
 	return &Core{

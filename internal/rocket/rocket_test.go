@@ -287,7 +287,6 @@ func TestConfigValidate(t *testing.T) {
 		"negative div":        func(c *rocket.Config) { c.DivLatency = -1 },
 		"zero-sized L1I":      func(c *rocket.Config) { c.Hierarchy.L1I.SizeBytes = 0 },
 		"negative PTW refill": func(c *rocket.Config) { c.Hierarchy.PTWLatency = -5 },
-		"unknown PMU arch":    func(c *rocket.Config) { c.PMUArch = 99 },
 	} {
 		cfg := rocket.DefaultConfig()
 		mutate(&cfg)

@@ -210,13 +210,6 @@ func TestServeValidation(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	badArch := rocket.DefaultConfig()
-	badArch.PMUArch = 99
-	badArchJSON, err := json.Marshal(badArch)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	cases := []struct {
 		name string
 		body string
@@ -235,8 +228,6 @@ func TestServeValidation(t *testing.T) {
 		// Used to pass JobSpec.Job and then panic the worker in
 		// mem.NewCache, killing the server.
 		{"empty rocket_config", `{"jobs":[{"core":"rocket","kernel":"towers","rocket_config":{}}]}`, http.StatusBadRequest},
-		// Used to pass and run silently as the Scalar PMU.
-		{"unknown PMU architecture", `{"jobs":[{"core":"rocket","kernel":"towers","rocket_config":` + string(badArchJSON) + `}]}`, http.StatusBadRequest},
 		{"boom_config without caches", `{"jobs":[{"core":"boom","kernel":"vvadd","boom_config":{"Name":"x","FetchWidth":1,"DecodeWidth":1,"IssueWidth":1,"IntPorts":1,"ROBEntries":2}}]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"sync"
 
 	"icicle/internal/boom"
@@ -17,9 +16,10 @@ import (
 // per job. Building a core allocates its caches, predictor tables,
 // sparse-memory frames, and uop arena; Reset restores all of that in
 // place (the program image is zeroed and copied back), so a pooled job's
-// steady-state cost is the cycle loop alone. One sync.Pool per config
-// fingerprint — a pooled core is only ever handed to a job with the
-// exact same configuration, and idle cores stay reclaimable by the GC.
+// steady-state cost is the cycle loop alone. One sync.Pool per
+// Job.ConfigFingerprint — a pooled core is only ever handed to a job with
+// the exact same core and configuration, and idle cores stay reclaimable
+// by the GC.
 //
 // The pools are process-wide (like the kernel program cache): every
 // Runner shares them, so replacing the default runner keeps warm cores.
@@ -42,10 +42,7 @@ func (cp *corePools) get(key string) *sync.Pool {
 	return p
 }
 
-var (
-	rocketCores corePools
-	boomCores   corePools
-)
+var cores corePools
 
 // executeJob runs one job on the tid's trace track. It drives cores from
 // the job's config pool through the split perf.Simulate*/Tally* halves so
@@ -55,46 +52,42 @@ var (
 // invisible outside the allocation profile. Without the core pool the
 // job gets a pool of its own, so every core it runs on is built fresh.
 func (r *Runner) executeJob(j Job, tid int) Result {
-	pool := func(cp *corePools, key string) *sync.Pool {
-		if !r.corePool {
-			return &sync.Pool{}
-		}
-		return cp.get(key)
+	pool := &sync.Pool{}
+	if r.corePool {
+		pool = cores.get(j.ConfigFingerprint())
 	}
 	res := Result{Job: j}
 	switch j.Core {
 	case Boom:
-		res.Boom, res.Sampled, res.Breakdown, res.Err = runPooled(r, j, tid,
-			pool(&boomCores, fmt.Sprintf("%+v", j.Boom)), coreOps[*boom.Core, boom.Result]{
-				build: func() (*boom.Core, error) {
-					prog, err := j.Kernel.Program()
-					if err != nil {
-						return nil, err
-					}
-					return boom.New(j.Boom, prog)
-				},
-				tel:        r.m.boom,
-				sampledPar: perf.SampleBoomParOn,
-				sampled:    perf.SampleBoomOn,
-				simulate:   perf.SimulateBoomOn,
-				tally:      perf.TallyBoom,
-			})
+		res.Boom, res.Sampled, res.Breakdown, res.Err = runPooled(r, j, tid, pool, coreOps[*boom.Core, boom.Result]{
+			build: func() (*boom.Core, error) {
+				prog, err := j.Kernel.Program()
+				if err != nil {
+					return nil, err
+				}
+				return boom.New(j.Boom, prog)
+			},
+			tel:        r.m.boom,
+			sampledPar: perf.SampleBoomParOn,
+			sampled:    perf.SampleBoomOn,
+			simulate:   perf.SimulateBoomOn,
+			tally:      perf.TallyBoom,
+		})
 	default:
-		res.Rocket, res.Sampled, res.Breakdown, res.Err = runPooled(r, j, tid,
-			pool(&rocketCores, fmt.Sprintf("%+v", j.Rocket)), coreOps[*rocket.Core, rocket.Result]{
-				build: func() (*rocket.Core, error) {
-					prog, err := j.Kernel.Program()
-					if err != nil {
-						return nil, err
-					}
-					return rocket.New(j.Rocket, prog), nil
-				},
-				tel:        r.m.rocket,
-				sampledPar: perf.SampleRocketParOn,
-				sampled:    perf.SampleRocketOn,
-				simulate:   perf.SimulateRocketOn,
-				tally:      perf.TallyRocket,
-			})
+		res.Rocket, res.Sampled, res.Breakdown, res.Err = runPooled(r, j, tid, pool, coreOps[*rocket.Core, rocket.Result]{
+			build: func() (*rocket.Core, error) {
+				prog, err := j.Kernel.Program()
+				if err != nil {
+					return nil, err
+				}
+				return rocket.New(j.Rocket, prog), nil
+			},
+			tel:        r.m.rocket,
+			sampledPar: perf.SampleRocketParOn,
+			sampled:    perf.SampleRocketOn,
+			simulate:   perf.SimulateRocketOn,
+			tally:      perf.TallyRocket,
+		})
 	}
 	return res
 }

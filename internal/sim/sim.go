@@ -99,21 +99,14 @@ func (j Job) CoreName() string {
 	return "rocket"
 }
 
-// Key is the memoization key: the core kind, every config field (the
-// configs are pure value types, so the rendered form is a complete
-// fingerprint — lane counts, cache geometry, PMU architecture and all),
-// the kernel name, and the detail mode. Sampled and full-detail runs of
-// the same (core, kernel) produce different results, so an enabled
-// sampling policy is part of the key; full-detail jobs keep their
-// historical key shape.
+// Key is the memoization key: the core kind, the kernel name, the
+// config's identity (configIdentity), and the detail mode. Sampled and
+// full-detail runs of the same (core, kernel) produce different results,
+// so an enabled sampling policy is part of the key; full-detail jobs keep
+// their historical key shape.
 func (j Job) Key() string {
-	key := ""
-	switch j.Core {
-	case Boom:
-		key = fmt.Sprintf("boom|%s|%+v", j.Kernel.Name, j.Boom)
-	default:
-		key = fmt.Sprintf("rocket|%s|%+v", j.Kernel.Name, j.Rocket)
-	}
+	kind, cfg := j.configIdentity()
+	key := kind + "|" + j.Kernel.Name + "|" + cfg
 	if j.Sample.Enabled() {
 		if j.SamplePar > 0 {
 			// The plan engine has its own (instruction-anchored) window
@@ -129,15 +122,25 @@ func (j Job) Key() string {
 }
 
 // ConfigFingerprint is the core-plus-configuration part of the memo key,
-// with the kernel and detail mode stripped: the sharding axis of the
-// serve layer. Routing by config keeps every kernel of one configuration
-// on one node, so that node's core pools and plan cache stay hot for the
-// whole config sweep.
+// with the kernel and detail mode stripped: the key of the core pools and
+// the sharding axis of the serve layer. Routing by config keeps every
+// kernel of one configuration on one node, so that node's core pools and
+// plan cache stay hot for the whole config sweep.
 func (j Job) ConfigFingerprint() string {
+	kind, cfg := j.configIdentity()
+	return kind + "|" + cfg
+}
+
+// configIdentity renders the job's core kind and configuration, the one
+// source of every key and fingerprint. The configs are pure value types
+// that name the microarchitecture and nothing else (lane counts, cache
+// geometry, RAS and forwarding toggles), so the rendered form is a
+// complete fingerprint of how the core runs.
+func (j Job) configIdentity() (kind, cfg string) {
 	if j.Core == Boom {
-		return fmt.Sprintf("boom|%+v", j.Boom)
+		return "boom", fmt.Sprintf("%+v", j.Boom)
 	}
-	return fmt.Sprintf("rocket|%+v", j.Rocket)
+	return "rocket", fmt.Sprintf("%+v", j.Rocket)
 }
 
 // Result is one job's outcome. Exactly one of Rocket/Boom is populated,

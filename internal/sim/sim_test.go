@@ -8,7 +8,6 @@ import (
 
 	"icicle/internal/boom"
 	"icicle/internal/kernel"
-	"icicle/internal/pmu"
 	"icicle/internal/rocket"
 )
 
@@ -103,10 +102,6 @@ func TestCacheMissOnConfigChange(t *testing.T) {
 		v = base
 		v.DecodeWidth++
 		variants["decode width"] = v
-
-		v = base
-		v.PMUArch = pmu.Distributed
-		variants["PMU architecture"] = v
 
 		v = base
 		v.UseRAS = !v.UseRAS
